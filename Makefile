@@ -19,7 +19,7 @@ BENCH_DIR         ?= bench
 BENCH_MAX_REGRESS ?= 2.0
 BENCH_BASELINE    ?= $(lastword $(sort $(wildcard $(BENCH_DIR)/BENCH_*.json)))
 
-.PHONY: all build test race bench bench-json bench-serve check fmt vet cover soak verify lint serve-smoke facility-smoke profiles-smoke
+.PHONY: all build test race bench bench-json bench-serve check fmt vet cover soak verify lint testdata-tracked serve-smoke facility-smoke profiles-smoke
 
 all: check
 
@@ -35,7 +35,7 @@ test:
 # against the committed baseline (so neither the sharded scale path nor
 # the bench-json pipeline can rot between full bench runs) — the checks a
 # reviewer assumes are green before reading a line.
-verify: lint
+verify: lint testdata-tracked
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -87,26 +87,29 @@ profiles-smoke:
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeLoad' -benchtime 5x -count=1 ./internal/serve
 
-# lint enforces two API boundaries. (1) The columnar store: the per-server
-# struct (cluster.Server) and the struct slice (cl.Servers) were removed in
-# the struct-of-arrays redesign, and nothing outside internal/cluster may
-# grow them back or poke columns directly. The wire-format
-# cluster.ServerState (checkpoints) is explicitly allowed. (2) The model
-# registry: model.ByName is a deprecated nil-returning shim kept for source
-# compatibility — every caller outside internal/model must use
-# model.Lookup, which returns an error naming the known profiles.
+# testdata-tracked fails when any file under a testdata/ directory is
+# untracked or ignored: a golden fixture that never reaches git turns the
+# suite red on every clean clone. Outside a git checkout there is nothing
+# to compare against, so the step is skipped.
+testdata-tracked:
+	@if [ ! -d .git ]; then echo "no .git — skipping the testdata tracking check"; exit 0; fi; \
+	bad=$$(git ls-files --others -- '*/testdata/*' ':!.bench_build'); \
+	if [ -n "$$bad" ]; then \
+		echo "untracked or ignored files under testdata/ (git add them; check .gitignore):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# lint enforces the columnar-store API boundary: the per-server struct
+# (cluster.Server) and the struct slice (cl.Servers) were removed in the
+# struct-of-arrays redesign, and nothing outside internal/cluster may grow
+# them back or poke columns directly. The wire-format cluster.ServerState
+# (checkpoints) is explicitly allowed.
 lint:
 	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E \
 		'cluster\.Server([^A-Za-z0-9_]|$$)|\bcl\.Servers\b' . \
 		| grep -v '^\./internal/cluster/' | grep -v 'cluster\.ServerState' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "removed cluster.Server API referenced outside internal/cluster:"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rn --include='*.go' --exclude-dir=.git -E 'model\.ByName\(' . \
-		| grep -v '^\./internal/model/' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "deprecated model.ByName used outside internal/model (use model.Lookup):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

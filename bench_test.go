@@ -37,12 +37,21 @@ func benchExperiment(b *testing.B, name string) {
 	}
 }
 
+// serialAndAll is the sub-benchmark ladder: 1, plus GOMAXPROCS when larger,
+// so every sub-benchmark has a distinct name on a one-CPU host.
+func serialAndAll() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkParallelSweep compares the fig7+fig8 batch — the headline
 // configuration sweep, 44 independent simulations — run serially against
 // the worker-pool fan-out at GOMAXPROCS. The output tables are
 // byte-identical either way; only the wall clock should differ.
 func BenchmarkParallelSweep(b *testing.B) {
-	for _, parallel := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, parallel := range serialAndAll() {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			opts := append(benchOpts(), experiments.WithParallelism(parallel))
 			for i := 0; i < b.N; i++ {
@@ -260,11 +269,7 @@ func benchScaleFleet(b *testing.B, servers int) {
 	}
 	sc := experiments.Scenario{Model: "BladeA", Budgets: experiments.Base201510(),
 		Ticks: ticks, Seed: 42, Traces: set}
-	shardCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		shardCounts = append(shardCounts, n)
-	}
-	for _, shards := range shardCounts {
+	for _, shards := range serialAndAll() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p := benchProfiler()
 			b.ReportAllocs()

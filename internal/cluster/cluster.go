@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"nopower/internal/model"
 	"nopower/internal/obs/prof"
@@ -158,8 +159,10 @@ type Cluster struct {
 	// bit-transparent). Monotone under Move; recomputed by RestoreState.
 	migHigh int
 
-	stats      FleetStats
-	statsValid bool
+	stats FleetStats
+	// statsValid is atomic because the sharded EC/VMEC epochs call SetPState
+	// from concurrent workers, and each change invalidates the cache.
+	statsValid atomic.Bool
 
 	// rec, when non-nil, receives phase spans for the plant's internal
 	// steps (demand-row fill, unit evaluation, tree reduction). Wired by
@@ -415,8 +418,14 @@ func (c *Cluster) Capacity(i int) float64 {
 }
 
 // invalidateStats is the single place the stats cache is invalidated; every
-// mutator funnels through it (directly or via markDirty).
-func (c *Cluster) invalidateStats() { c.statsValid = false }
+// mutator funnels through it (directly or via markDirty). The load before the
+// store keeps a sharded epoch from bouncing the flag's cache line between
+// workers: only the first change after an Advance writes it.
+func (c *Cluster) invalidateStats() {
+	if c.statsValid.Load() {
+		c.statsValid.Store(false)
+	}
+}
 
 // markDirty records that server i's plant inputs changed, forcing the next
 // Advance to re-evaluate it (and invalidating the stats cache).
@@ -698,7 +707,7 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	if tot.hasLoc {
 		c.stats.HeadroomLoc = tot.hLoc
 	}
-	c.statsValid = true
+	c.statsValid.Store(true)
 }
 
 // advanceUnit evaluates one unit's servers and accumulates its partial of the
@@ -874,7 +883,7 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 // StaticCapGrp) are not tracked; inside an engine run that never matters
 // because Advance repopulates the stats after the controllers act.
 func (c *Cluster) Stats() FleetStats {
-	if !c.statsValid {
+	if !c.statsValid.Load() {
 		c.recomputeStats()
 	}
 	return c.stats
@@ -913,7 +922,7 @@ func (c *Cluster) recomputeStats() {
 		}
 	}
 	c.stats = st
-	c.statsValid = true
+	c.statsValid.Store(true)
 }
 
 // OnCount returns the number of powered servers.

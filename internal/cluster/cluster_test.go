@@ -320,7 +320,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 // freshStats forces a recompute of the aggregate from the current sensor
 // columns, bypassing the cache — the oracle for the staleness tests below.
 func freshStats(c *Cluster) FleetStats {
-	c.statsValid = false
+	c.statsValid.Store(false)
 	return c.Stats()
 }
 

@@ -104,8 +104,9 @@ type ChaosRow struct {
 // newChaosEngine builds the engine for one (scenario, spec, chaos case)
 // triple: the fault schedule compiled into an EventInjector ahead of the
 // stack, the crash target wrapped with the chaos crasher. sc must already be
-// normalized. The replay harness rebuilds engines through the same path so a
-// resumed chaos run is structurally identical to the one it continues.
+// normalized. Every run builds its engine here (the zero ChaosCase adds
+// nothing), so a resumed run is structurally identical to the one it
+// continues.
 func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *core.Handles, error) {
 	cl, err := sc.BuildCluster()
 	if err != nil {
@@ -145,25 +146,8 @@ func newChaosEngine(sc Scenario, spec core.Spec, cse ChaosCase) (*sim.Engine, *c
 // the crash target — if any — is wrapped with the chaos crasher, and the
 // engine runs under o.FaultPolicy.
 func RunChaos(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, o Observers) (ChaosRow, error) {
-	sc = sc.normalized()
-	eng, h, err := newChaosEngine(sc, spec, cse)
+	res, eng, err := runCase(ctx, sc.normalized(), spec, cse, 0, o)
 	if err != nil {
-		return ChaosRow{}, err
-	}
-	o.wireHandles(h)
-	remaining, err := o.attach(eng, sc.Ticks)
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	col, err := eng.RunContext(ctx, remaining)
-	if ferr := o.finish(); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return ChaosRow{}, fmt.Errorf("chaos %s: %w", cse.Name, err)
-	}
-	res := col.Finalize(0)
-	if err := res.Valid(); err != nil {
 		return ChaosRow{}, fmt.Errorf("chaos %s: %w", cse.Name, err)
 	}
 	return ChaosRow{Scenario: cse.Name, Result: res, Disabled: len(eng.Disabled())}, nil

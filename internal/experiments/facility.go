@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"nopower/internal/controllers/fm"
 	"nopower/internal/core"
@@ -28,11 +27,11 @@ type FacilityRow struct {
 	// FeedViolations counts ticks where total facility power exceeded the
 	// utility feed.
 	FeedViolations int
-	// Identical reports the sharded run reproduced the serial run bitwise
+	// Identical reports every sharded run reproduced the serial run bitwise
 	// (per-tick series including the facility columns, and the summary).
 	Identical bool
-	// ReplayIdentical reports the kill-and-resume check through the facility
-	// loop reproduced the uninterrupted run bitwise (the E16 contract).
+	// ReplayIdentical reports the serial run killed halfway and resumed from
+	// its checkpoint reproduced the serial run bitwise (the E16 contract).
 	ReplayIdentical bool
 }
 
@@ -70,48 +69,26 @@ func facilitySeriesStats(s *metrics.Series) (avgPUE, maxPUE, avgFacilityW float6
 	return avgPUE / n, maxPUE, avgFacilityW / n
 }
 
-// facilityStackRow runs one stack through the full E21 battery: a serial
-// reference run, a sharded run compared bitwise against it, and a
-// kill-and-resume replay check through the facility loop.
+// facilityStackRow runs one stack through CheckIdentity — with the FM in
+// the stack, the facility columns are part of the bitwise contract — and
+// folds the serial leg's series and FM telemetry into the row.
 func facilityStackRow(ctx context.Context, sc Scenario, spec core.Spec, baseline float64) (FacilityRow, error) {
-	// Serial reference, with the FM handle captured for budget/violation
-	// telemetry.
 	var serial metrics.Series
 	var fmc *fm.Controller
-	ssc := sc
-	ssc.Shards = 1
-	res, err := RunObserved(ctx, ssc, spec, baseline, Observers{
+	id, err := CheckIdentity(ctx, sc, spec, baseline, Observers{
 		Series:  &serial,
 		OnBuild: func(h *core.Handles) { fmc = h.FM },
 	})
 	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility serial: %w", err)
+		return FacilityRow{}, fmt.Errorf("facility: %w", err)
 	}
-	row := FacilityRow{Result: res}
+	row := FacilityRow{Result: id.Serial.Result, Identical: id.ShardedIdentical(),
+		ReplayIdentical: id.Replay.Identical}
 	row.AvgPUE, row.MaxPUE, row.AvgFacilityW = facilitySeriesStats(&serial)
 	if fmc != nil {
 		row.ITBudgetW, _ = fmc.Budget()
 		row.FeedViolations, _ = fmc.DrainViolations()
 	}
-
-	// Sharded run: sharding is a pure execution knob, so the series —
-	// facility columns included — and the summary must be bit-identical.
-	var sharded metrics.Series
-	psc := sc
-	psc.Shards = runtime.GOMAXPROCS(0)
-	pres, err := RunObserved(ctx, psc, spec, baseline, Observers{Series: &sharded})
-	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility sharded: %w", err)
-	}
-	row.Identical = serial.BitEqual(&sharded) && resultBitsEqual(res, pres)
-
-	// Kill-and-resume through the facility loop (the E16 contract with an FM
-	// in the stack).
-	rrow, err := ReplayCheck(ctx, sc, spec, ChaosCase{Name: "facility"}, sc.Ticks/2)
-	if err != nil {
-		return FacilityRow{}, fmt.Errorf("facility replay: %w", err)
-	}
-	row.ReplayIdentical = rrow.Identical
 	return row, nil
 }
 
@@ -168,12 +145,6 @@ func Facility(ctx context.Context, opts Options) ([]*report.Table, error) {
 			"Avg facility (kW)", "IT budget (kW)", "Feed-viol", "Bit-identical", "Replay"},
 	}
 	for _, r := range rows {
-		yn := func(b bool) string {
-			if b {
-				return "yes"
-			}
-			return "NO"
-		}
 		t.AddRow(r.Stack,
 			report.Pct(r.Result.PowerSavings), report.Pct(r.Result.PerfLoss),
 			report.Pct(r.Result.ViolGM),
@@ -181,13 +152,10 @@ func Facility(ctx context.Context, opts Options) ([]*report.Table, error) {
 			fmt.Sprintf("%.1f", r.AvgFacilityW/1000),
 			fmt.Sprintf("%.1f", r.ITBudgetW/1000),
 			fmt.Sprintf("%d", r.FeedViolations),
-			yn(r.Identical), yn(r.ReplayIdentical))
+			yesNo(r.Identical), yesNo(r.ReplayIdentical))
 		if !r.Identical || !r.ReplayIdentical {
 			err = fmt.Errorf("experiments: facility run diverged for %s", r.Stack)
 		}
 	}
-	if err != nil {
-		return []*report.Table{t}, err
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{t}, err
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"nopower/internal/cluster"
 	"nopower/internal/core"
@@ -111,10 +110,10 @@ type HeteroRow struct {
 	Stack      string
 	Result     metrics.Result
 	PerProfile []HeteroProfileRow
-	// Identical reports the sharded run reproduced the serial run bitwise.
+	// Identical reports every sharded run reproduced the serial run bitwise.
 	Identical bool
-	// ReplayIdentical reports the kill-and-resume check reproduced the
-	// uninterrupted run bitwise (the E16 contract).
+	// ReplayIdentical reports the serial run killed halfway and resumed from
+	// its checkpoint reproduced the serial run bitwise (the E16 contract).
 	ReplayIdentical bool
 }
 
@@ -145,19 +144,18 @@ func heteroBaseline(ctx context.Context, sc Scenario) (fleetBase, error) {
 	return fleetBase{avgPower: col.Finalize(0).AvgPower, acc: acc}, nil
 }
 
-// heteroStackRow runs one (fleet, stack) through the full E22 battery: a
-// serial reference run with the per-profile accumulator, a sharded run
-// compared bitwise against it, and a kill-and-resume replay check.
+// heteroStackRow runs one (fleet, stack) through CheckIdentity — the
+// snapshot carries per-server model names, so a resumed heterogeneous fleet
+// must land on the same hardware bit for bit — and folds the serial leg's
+// per-profile accumulator into the row.
 func heteroStackRow(ctx context.Context, sc Scenario, spec core.Spec, base fleetBase) (HeteroRow, error) {
-	var serial metrics.Series
 	acc := &profileAcc{}
-	ssc := sc
-	ssc.Shards = 1
-	res, err := RunObserved(ctx, ssc, spec, base.avgPower, Observers{Series: &serial, OnTick: acc.hook})
+	id, err := CheckIdentity(ctx, sc, spec, base.avgPower, Observers{OnTick: acc.hook})
 	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero serial: %w", err)
+		return HeteroRow{}, fmt.Errorf("hetero: %w", err)
 	}
-	row := HeteroRow{Result: res}
+	row := HeteroRow{Result: id.Serial.Result, Identical: id.ShardedIdentical(),
+		ReplayIdentical: id.Replay.Identical}
 	for j, name := range acc.names {
 		pr := HeteroProfileRow{Profile: name, Servers: acc.counts[j], AvgW: acc.avgW(j)}
 		for bj, bname := range base.acc.names {
@@ -171,26 +169,6 @@ func heteroStackRow(ctx context.Context, sc Scenario, spec core.Spec, base fleet
 		}
 		row.PerProfile = append(row.PerProfile, pr)
 	}
-
-	// Sharded run: a pure execution knob, so the per-tick series and the
-	// summary must be bit-identical to the serial reference.
-	var sharded metrics.Series
-	psc := sc
-	psc.Shards = runtime.GOMAXPROCS(0)
-	pres, err := RunObserved(ctx, psc, spec, base.avgPower, Observers{Series: &sharded})
-	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero sharded: %w", err)
-	}
-	row.Identical = serial.BitEqual(&sharded) && resultBitsEqual(res, pres)
-
-	// Kill-and-resume through the mixed-model plant: the snapshot carries
-	// per-server model names, so a resumed heterogeneous fleet must land on
-	// the same hardware bit-for-bit.
-	rrow, err := ReplayCheck(ctx, sc, spec, ChaosCase{Name: "hetero"}, sc.Ticks/2)
-	if err != nil {
-		return HeteroRow{}, fmt.Errorf("hetero replay: %w", err)
-	}
-	row.ReplayIdentical = rrow.Identical
 	return row, nil
 }
 
@@ -233,12 +211,6 @@ func Hetero(ctx context.Context, opts Options) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	yn := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "NO"
-	}
 	head := &report.Table{
 		Title: "Heterogeneous fleets — coordinated vs uncoordinated across profile mixes (E22)",
 		Note: "Each fleet draws its servers from the host-profile registry by weighted " +
@@ -263,7 +235,7 @@ func Hetero(ctx context.Context, opts Options) ([]*report.Table, error) {
 			report.Pct(r.Result.PowerSavings), report.Pct(r.Result.PerfLoss),
 			report.Pct(r.Result.ViolGM),
 			fmt.Sprintf("%.1f", r.Result.AvgPower/1000),
-			yn(r.Identical), yn(r.ReplayIdentical))
+			yesNo(r.Identical), yesNo(r.ReplayIdentical))
 		for _, p := range r.PerProfile {
 			decomp.AddRow(r.Fleet, r.Stack, p.Profile, fmt.Sprintf("%d", p.Servers),
 				fmt.Sprintf("%.2f", p.BaselineW/1000), fmt.Sprintf("%.2f", p.AvgW/1000),
@@ -273,8 +245,5 @@ func Hetero(ctx context.Context, opts Options) ([]*report.Table, error) {
 			err = fmt.Errorf("experiments: hetero run diverged for %s/%s", r.Fleet, r.Stack)
 		}
 	}
-	if err != nil {
-		return []*report.Table{head, decomp}, err
-	}
-	return []*report.Table{head, decomp}, nil
+	return []*report.Table{head, decomp}, err
 }

@@ -129,8 +129,8 @@ var registry = map[string]struct {
 	"cooling":    {Cooling, "§7 future work: cooling-domain coordination (CRAC setpoint + budgets)"},
 	"chaos":      {Chaos, "fault-injection soak: flaps, sensor faults, crashes under degraded mode (§3.2)"},
 	"replay":     {Replay, "chaos soak killed mid-run and resumed from checkpoint; verifies bitwise replay"},
-	"scale":      {Scale, "10k-server fleet: sharded tick engine vs serial, bit-identical results (E17)"},
-	"scale100k":  {Scale100k, "100k-server fleet: columnar cluster store, serial vs sharded bit-identity (E18)"},
+	"scale":      {scaleRunner(scale10k), "10k-server fleet: sharded tick engine vs serial, bit-identical results (E17)"},
+	"scale100k":  {scaleRunner(scale100k), "100k-server fleet: columnar cluster store, serial vs sharded bit-identity (E18)"},
 	"facility":   {Facility, "facility co-simulation: UPS/PDU losses, weather-derated cooling, PUE, FM budget (E21)"},
 	"hetero":     {Hetero, "heterogeneous fleets: coordinated vs uncoordinated across three profile mixes (E22)"},
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"nopower/internal/checkpoint"
 	"nopower/internal/core"
 	"nopower/internal/metrics"
 	"nopower/internal/report"
@@ -29,72 +28,33 @@ type ReplayRow struct {
 // ReplayCheck runs the determinism contract end to end for one (scenario,
 // spec, chaos case) triple:
 //
-//  1. the uninterrupted run, recording the per-tick series;
-//  2. the same run killed at killAt ticks, its snapshot round-tripped
-//     through the on-disk encoding (Encode+Decode, so serialization loss
-//     would be caught), then resumed on a freshly built engine;
+//  1. the run killed at killAt ticks and resumed from its checkpoint
+//     (killAndResume, the harness CheckIdentity shares);
+//  2. the uninterrupted run, recording the per-tick series;
 //  3. a bitwise comparison (math.Float64bits) of the two series and their
 //     final summaries.
 //
+// Both runs use the degrade fault policy, so crashes in cse fail neither.
 // cse may be the zero ChaosCase for a fault-free scenario.
 func ReplayCheck(ctx context.Context, sc Scenario, spec core.Spec, cse ChaosCase, killAt int) (ReplayRow, error) {
 	sc = sc.normalized()
-	if killAt <= 0 || killAt >= sc.Ticks {
-		return ReplayRow{}, fmt.Errorf("experiments: kill tick %d outside (0, %d)", killAt, sc.Ticks)
+	var resumed, full metrics.Series
+	res, size, err := killAndResume(ctx, sc, spec, cse, 0,
+		Observers{Series: &resumed, FaultPolicy: sim.FaultDegrade}, killAt)
+	if err != nil {
+		return ReplayRow{}, fmt.Errorf("replay: %w", err)
 	}
-	fp := sim.FaultDegrade // crashes in cse must not fail either run
-
-	// Uninterrupted reference run.
-	var full metrics.Series
-	fullRow, err := RunChaos(ctx, sc, spec, cse, Observers{Series: &full, FaultPolicy: fp})
+	fullRes, _, err := runCase(ctx, sc, spec, cse, 0, Observers{Series: &full, FaultPolicy: sim.FaultDegrade})
 	if err != nil {
 		return ReplayRow{}, fmt.Errorf("replay reference: %w", err)
-	}
-
-	// Interrupted run: killAt ticks, then snapshot.
-	eng, h, err := newChaosEngine(sc, spec, cse)
-	if err != nil {
-		return ReplayRow{}, err
-	}
-	var part metrics.Series
-	o := Observers{Series: &part, FaultPolicy: fp}
-	o.wireHandles(h)
-	if _, err := o.attach(eng, sc.Ticks); err != nil {
-		return ReplayRow{}, err
-	}
-	if _, err := eng.RunContext(ctx, killAt); err != nil {
-		return ReplayRow{}, fmt.Errorf("replay partial run: %w", err)
-	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		return ReplayRow{}, fmt.Errorf("replay snapshot: %w", err)
-	}
-	// Round-trip through the persistent encoding: the resumed engine must
-	// live off what a crash would have left on disk, not off live pointers.
-	data, err := checkpoint.Encode(&checkpoint.File{Meta: checkpoint.Meta{Tick: snap.Tick}, State: snap})
-	if err != nil {
-		return ReplayRow{}, err
-	}
-	file, err := checkpoint.Decode(data)
-	if err != nil {
-		return ReplayRow{}, err
-	}
-
-	// Resume on a fresh engine and series.
-	var resumed metrics.Series
-	resumedRow, err := RunChaos(ctx, sc, spec, cse, Observers{
-		Series: &resumed, FaultPolicy: fp, Resume: file,
-	})
-	if err != nil {
-		return ReplayRow{}, fmt.Errorf("replay resume: %w", err)
 	}
 
 	return ReplayRow{
 		Scenario:      cse.Name,
 		KillTick:      killAt,
-		Identical:     full.BitEqual(&resumed) && fullRow.Result == resumedRow.Result,
-		SnapshotBytes: len(data),
-		Resumed:       resumedRow.Result,
+		Identical:     bitIdentical(&full, fullRes, &resumed, res),
+		SnapshotBytes: size,
+		Resumed:       res,
 	}, nil
 }
 
@@ -161,19 +121,12 @@ func Replay(ctx context.Context, opts Options) ([]*report.Table, error) {
 			"Violates(GM)", "Perf-loss"},
 	}
 	for _, r := range rows {
-		ident := "yes"
-		if !r.Identical {
-			ident = "NO"
-		}
-		t.AddRow(r.Scenario, r.Stack, fmt.Sprintf("%d", r.KillTick), ident,
+		t.AddRow(r.Scenario, r.Stack, fmt.Sprintf("%d", r.KillTick), yesNo(r.Identical),
 			fmt.Sprintf("%.1f KiB", float64(r.SnapshotBytes)/1024),
 			report.Pct(r.Resumed.ViolGM), report.Pct(r.Resumed.PerfLoss))
 		if !r.Identical {
 			err = fmt.Errorf("experiments: replay diverged for %s/%s", r.Scenario, r.Stack)
 		}
 	}
-	if err != nil {
-		return []*report.Table{t}, err
-	}
-	return []*report.Table{t}, nil
+	return []*report.Table{t}, err
 }

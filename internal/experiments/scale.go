@@ -3,54 +3,49 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 
 	"nopower/internal/core"
-	"nopower/internal/metrics"
 	"nopower/internal/report"
-	"nopower/internal/runner"
 	"nopower/internal/tracegen"
 )
 
-// scaleFleetSize is the E17 fleet: a 10k-server synthetic data center,
-// roughly 55x the paper's 180-server evaluation rack.
-const scaleFleetSize = 10000
-
-// scaleFleetSizeShort is the shrunk fleet used when the caller asks for a
-// short run (tests, smokes): still hundreds of servers across many
-// enclosures, so the sharded paths are genuinely exercised, without the
-// minutes-long wall clock of the full fleet.
-const scaleFleetSizeShort = 900
-
-// ScaleRow is one shard setting's outcome on the fleet-scale scenario.
-type ScaleRow struct {
-	// Shards is the per-tick goroutine bound the run used.
-	Shards int
-	// Result is the finalized summary.
-	Result metrics.Result
-	// Identical reports whether every Result field is bitwise identical
-	// (math.Float64bits) to the serial (shards=1) reference.
-	Identical bool
+// scalePreset is one fleet size of the scale experiment. The experiment is
+// registered twice: E17 `scale` (the sharded tick engine at 10k servers)
+// and E18 `scale100k` (the columnar cluster store at 100k).
+type scalePreset struct {
+	// name and what title the table.
+	name, what string
+	// full is the fleet for paper-length runs; short the shrunk fleet for
+	// short runs (tests, smokes) — still many enclosures per shard, so the
+	// sharded paths are genuinely exercised, without the minutes-long wall
+	// clock of the full fleet.
+	full, short int
+	// bench names the wall-clock companion benchmark.
+	bench string
 }
 
-// scaleFleet picks the fleet size: the full 10k fleet for paper-length runs,
-// the shrunk one for short runs.
-func scaleFleet(opts Options) int {
+var (
+	scale10k  = scalePreset{"Scale", "sharded tick engine vs serial", 10000, 900, "BenchmarkScale10k"}
+	scale100k = scalePreset{"Scale100k", "columnar store, sharded vs serial", 100000, 2000, "BenchmarkScale100k"}
+)
+
+// fleet picks the fleet size: the full fleet for paper-length runs, the
+// shrunk one below 2000 ticks.
+func (p scalePreset) fleet(opts Options) int {
 	if opts.Ticks < 2000 {
-		return scaleFleetSizeShort
+		return p.short
 	}
-	return scaleFleetSize
+	return p.full
 }
 
-// scaleScenario builds the E17 scenario: the Mix180 utilization blend scaled
-// to the fleet, the paper's base budgets, and the coordinated stack without
-// the VMC (bin-packing 10k VMs every VMC epoch is a different scaling
-// problem — the tick engine is what E17 measures).
-func scaleScenario(opts Options) (Scenario, core.Spec) {
+// scaleScenario builds the scale scenario: the Mix180 utilization blend
+// scaled to the fleet, the paper's base budgets, and the coordinated stack
+// without the VMC (bin-packing 10k VMs every VMC epoch is a different
+// scaling problem — the tick engine is what the experiment measures).
+func scaleScenario(fleet int, opts Options) (Scenario, core.Spec) {
 	sc := Scenario{
 		Model:   "BladeA",
-		Mix:     tracegen.ScaleMix(scaleFleet(opts)),
+		Mix:     tracegen.ScaleMix(fleet),
 		Budgets: Base201510(),
 		Ticks:   opts.Ticks,
 		Seed:    opts.Seed,
@@ -58,107 +53,69 @@ func scaleScenario(opts Options) (Scenario, core.Spec) {
 	return sc, core.NoVMC()
 }
 
-// scaleShardCounts is the ladder E17 walks: serial, minimal parallelism, and
-// one shard per available CPU.
-func scaleShardCounts() []int {
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	out := counts[:1]
-	for _, n := range counts[1:] {
-		if n > out[len(out)-1] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// resultBitsEqual compares two finalized summaries field by field at the
-// bit level (Float64bits, so -0 vs +0 or differently-rounded sums fail).
-func resultBitsEqual(a, b metrics.Result) bool {
-	bits := func(r metrics.Result) [8]uint64 {
-		return [8]uint64{
-			math.Float64bits(r.AvgPower), math.Float64bits(r.PeakPower),
-			math.Float64bits(r.PowerSavings), math.Float64bits(r.PerfLoss),
-			math.Float64bits(r.ViolSM), math.Float64bits(r.ViolEM),
-			math.Float64bits(r.ViolGM), math.Float64bits(r.ViolSMWatts),
-		}
-	}
-	return a.Ticks == b.Ticks && bits(a) == bits(b) &&
-		math.Float64bits(a.AvgServersOn) == math.Float64bits(b.AvgServersOn)
-}
-
-// ScaleData runs the fleet-scale scenario once per shard setting and verifies
-// each sharded run's summary is bitwise identical to the serial one.
-func ScaleData(ctx context.Context, opts Options) ([]ScaleRow, error) {
+// ScaleData runs the scale scenario on a fleet of the given size through
+// CheckIdentity: serial, every identityShards() count, and kill-and-resume.
+func ScaleData(ctx context.Context, opts Options, fleet int) (Identity, error) {
 	opts = opts.normalized()
-	sc, spec := scaleScenario(opts)
+	sc, spec := scaleScenario(fleet, opts)
 
-	// One baseline serves every row: sharding cannot change it, so compute
-	// it at full parallelism.
+	// One baseline serves every leg: sharding cannot change it, so compute
+	// it at the harness's widest shard count.
 	bsc := sc
-	bsc.Shards = runtime.GOMAXPROCS(0)
+	ladder := identityShards()
+	bsc.Shards = ladder[len(ladder)-1]
 	baseline, err := BaselinePower(ctx, bsc)
 	if err != nil {
-		return nil, fmt.Errorf("scale baseline: %w", err)
+		return Identity{}, fmt.Errorf("scale baseline: %w", err)
 	}
-
-	results, err := runner.Map(ctx, opts.Parallelism, scaleShardCounts(),
-		func(ctx context.Context, shards int) (ScaleRow, error) {
-			s := sc
-			s.Shards = shards
-			res, err := RunVsBaseline(ctx, s, spec, baseline)
-			if err != nil {
-				return ScaleRow{}, fmt.Errorf("scale shards=%d: %w", shards, err)
-			}
-			return ScaleRow{Shards: shards, Result: res}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	ref := results[0].Result // shards=1: the serial reference
-	for i := range results {
-		results[i].Identical = resultBitsEqual(results[i].Result, ref)
-	}
-	return results, nil
+	return CheckIdentity(ctx, sc, spec, baseline, Observers{})
 }
 
-// Scale renders E17: the tick engine on a synthetic 10k-server fleet at
-// increasing shard counts. The table's claim is correctness, not speed —
-// every sharded run must reproduce the serial run bitwise (the wall-clock
-// trajectory lives in BenchmarkScale10k, where it can be measured without
-// contending with the experiment worker pool). A non-identical row fails the
-// experiment: a fast wrong answer is not an optimization.
-func Scale(ctx context.Context, opts Options) ([]*report.Table, error) {
-	opts = opts.normalized()
-	rows, err := ScaleData(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := &report.Table{
-		Title: fmt.Sprintf("Scale — %d-server fleet, sharded tick engine vs serial", scaleFleet(opts)),
-		Note: "Same scenario at every shard count; 'bit-identical' compares every final " +
-			"metric against the shards=1 run with math.Float64bits. Wall-clock speedup " +
-			"is benchmarked separately (BenchmarkScale10k).",
-		Header: []string{"Shards", "Avg power (W)", "Savings", "Perf-loss",
-			"Viol SM/EM/GM (%)", "Bit-identical"},
-	}
-	for _, r := range rows {
-		ident := "yes"
-		if !r.Identical {
-			ident = "NO"
+// scaleRunner renders one preset of the scale experiment (E17/E18). The
+// table's claim is correctness, not speed — every sharded run, and the serial
+// run killed halfway and resumed, must reproduce the serial run bitwise (the
+// wall-clock trajectory lives in the preset's benchmark, where it can be
+// measured without contending with the experiment worker pool). A
+// non-identical leg fails the experiment: a fast wrong answer is not an
+// optimization.
+func scaleRunner(p scalePreset) Runner {
+	return func(ctx context.Context, opts Options) ([]*report.Table, error) {
+		opts = opts.normalized()
+		id, err := ScaleData(ctx, opts, p.fleet(opts))
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%.0f", r.Result.AvgPower),
-			report.Pct(r.Result.PowerSavings),
-			report.Pct(r.Result.PerfLoss),
-			fmt.Sprintf("%s/%s/%s", report.Pct(r.Result.ViolSM),
-				report.Pct(r.Result.ViolEM), report.Pct(r.Result.ViolGM)),
-			ident)
-		if !r.Identical {
-			err = fmt.Errorf("experiments: scale run diverged at shards=%d", r.Shards)
+		t := &report.Table{
+			Title: fmt.Sprintf("%s — %d-server fleet, %s", p.name, p.fleet(opts), p.what),
+			Note: "Same scenario at every shard count; 'bit-identical' compares every final " +
+				"metric against the shards=1 run with math.Float64bits. 'replay' kills the " +
+				"shards=1 run halfway and resumes it from its checkpoint. Wall-clock speedup " +
+				"is benchmarked separately (" + p.bench + ").",
+			Header: []string{"Shards", "Avg power (W)", "Savings", "Perf-loss",
+				"Viol SM/EM/GM (%)", "Bit-identical", "Replay"},
 		}
+		for i, l := range append([]IdentityLeg{id.Serial}, id.Sharded...) {
+			replay := "-"
+			if i == 0 {
+				replay = yesNo(id.Replay.Identical)
+			}
+			t.AddRow(fmt.Sprintf("%d", l.Shards),
+				fmt.Sprintf("%.0f", l.Result.AvgPower),
+				report.Pct(l.Result.PowerSavings),
+				report.Pct(l.Result.PerfLoss),
+				fmt.Sprintf("%s/%s/%s", report.Pct(l.Result.ViolSM),
+					report.Pct(l.Result.ViolEM), report.Pct(l.Result.ViolGM)),
+				yesNo(l.Identical), replay)
+			if !l.Identical {
+				err = fmt.Errorf("experiments: %s run diverged at shards=%d", p.name, l.Shards)
+			}
+		}
+		if !id.Replay.Identical {
+			err = fmt.Errorf("experiments: %s resumed run diverged", p.name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{t}, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }

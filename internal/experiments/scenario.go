@@ -365,41 +365,8 @@ func (o Observers) finish() error {
 // RunObserved is RunVsBaseline with observability attachments: a time-series
 // recorder, an actuation tracer, and/or a live metrics registry.
 func RunObserved(ctx context.Context, sc Scenario, spec core.Spec, baselineAvgPower float64, o Observers) (metrics.Result, error) {
-	sc = sc.normalized()
-	cl, err := sc.BuildCluster()
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	if spec.Seed == 0 {
-		spec.Seed = sc.Seed
-	}
-	if spec.Shards == 0 {
-		spec.Shards = sc.Shards
-	}
-	if spec.Shards == 0 {
-		spec.Shards = DefaultShards()
-	}
-	eng, h, err := core.Build(cl, spec)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	o.wireHandles(h)
-	remaining, err := o.attach(eng, sc.Ticks)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	col, err := eng.RunContext(ctx, remaining)
-	if ferr := o.finish(); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	res := col.Finalize(baselineAvgPower)
-	if err := res.Valid(); err != nil {
-		return res, err
-	}
-	return res, nil
+	res, _, err := runCase(ctx, sc.normalized(), spec, ChaosCase{}, baselineAvgPower, o)
+	return res, err
 }
 
 // BaselinePower computes the scenario's no-management average power. The

@@ -341,15 +341,3 @@ func TestMaxLoadUnderCap(t *testing.T) {
 		t.Errorf("bisection not tight: %v still under budget", pw)
 	}
 }
-
-func TestByName(t *testing.T) {
-	if ByName("BladeA") == nil || ByName("ServerB") == nil {
-		t.Fatal("known names must resolve")
-	}
-	if ByName("B").Name != "ServerB" {
-		t.Error("alias B should resolve to ServerB")
-	}
-	if ByName("nope") != nil {
-		t.Error("unknown name should return nil")
-	}
-}

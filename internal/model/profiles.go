@@ -100,7 +100,7 @@ func Turbo1U48() *Model {
 
 func init() {
 	// The paper's two measured calibrations, with their historical aliases
-	// (ByName accepted these spellings since the first PR).
+	// (accepted since the first PR).
 	mustRegister(BladeA, "bladea", "blade-a", "A")
 	mustRegister(ServerB, "serverb", "server-b", "B")
 	// The SPECpower-style library. Hyphenated aliases follow the same

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nopower/internal/cluster"
+	"nopower/internal/controllers/ec"
 	"nopower/internal/core"
 	"nopower/internal/metrics"
 	"nopower/internal/model"
@@ -148,5 +149,47 @@ func TestShardedEngineMatchesSerialPerTick(t *testing.T) {
 	if fmt.Sprint(serial.Cluster.Stats()) != fmt.Sprint(sharded.Cluster.Stats()) {
 		t.Fatalf("final FleetStats diverged:\nserial  %+v\nsharded %+v",
 			serial.Cluster.Stats(), sharded.Cluster.Stats())
+	}
+}
+
+// TestShardedECPStateWrites is the race regression for the sharded EC epoch:
+// concurrent TickShard calls move P-states through Cluster.SetPState, and each
+// change invalidates the shared FleetStats cache. Under -race, three shards
+// over the 180-server fleet must stay silent, and the run must match the
+// serial one bitwise — with P-states actually moving, so the invalidation
+// path is exercised rather than elided by the same-value short-circuit.
+func TestShardedECPStateWrites(t *testing.T) {
+	const ticks = 40
+	run := func(shards int) (*cluster.Cluster, int) {
+		cl := shardTestCluster(t, ticks)
+		ecc, err := ec.New(cl, ec.DefaultLambda, ec.DefaultRRef, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.New(cl, ecc)
+		eng.Shards = shards
+		moved := 0
+		eng.OnTick = func(_ int, cl *cluster.Cluster) {
+			for i := 0; i < cl.NumServers(); i++ {
+				if cl.PState(i) != 0 {
+					moved++
+				}
+			}
+		}
+		if _, err := eng.Run(ticks); err != nil {
+			t.Fatal(err)
+		}
+		return cl, moved
+	}
+	serial, movedSerial := run(1)
+	sharded, moved := run(3)
+	if moved == 0 {
+		t.Fatal("EC never left P0: the sharded SetPState path went unexercised")
+	}
+	if moved != movedSerial {
+		t.Errorf("P-state occupancy diverged: serial %d, sharded %d", movedSerial, moved)
+	}
+	if fmt.Sprint(serial.Stats()) != fmt.Sprint(sharded.Stats()) {
+		t.Errorf("final FleetStats diverged:\nserial  %+v\nsharded %+v", serial.Stats(), sharded.Stats())
 	}
 }
