@@ -117,10 +117,13 @@ lint:
 # engine: every experiment test forces the concurrent worker-pool path, and
 # the determinism test runs the sharded engine's worker goroutines under the
 # detector, so this catches data races in shared caches, models, the metrics
-# pipeline, and the per-tick shard fan-out. verify and the obs coverage
-# floor ride along so one target stays the pre-merge gate.
+# pipeline, and the per-tick shard fan-out. The first line adds the
+# block-claiming dispatch contract and the concurrent AdvanceWith (unit
+# advance plus parallel demand-cache fill) against the serial Advance.
+# verify and the obs coverage floor ride along so one target stays the
+# pre-merge gate.
 race: verify cover
-	$(GO) test -race -count=1 -run 'TestShardDeterminism' ./internal/sim
+	$(GO) test -race -count=1 -run 'TestShardDeterminism|TestRunUnitsContract|TestAdvanceWithMatchesAdvance' ./internal/sim ./internal/cluster
 	$(GO) test -race ./...
 
 bench:

@@ -296,12 +296,13 @@ func benchScaleFleet(b *testing.B, servers int) {
 	}
 }
 
-// BenchmarkScale10k is the E17 wall-clock companion at a 10k-server fleet.
+// BenchmarkScale10k is the wall-clock companion of the scale experiment
+// (`npexp scale`) at its 10k-server preset: shards=1 against one shard per
+// CPU, whose ratio is the sharded engine's speedup (EXPERIMENTS.md E17/E18).
 func BenchmarkScale10k(b *testing.B) { benchScaleFleet(b, 10000) }
 
-// BenchmarkScale100k is the E18 wall-clock companion: the same setup at a
-// 100k-server fleet. The acceptance bar for the columnar cluster store is
-// ≥2x tick throughput here over the AoS baseline recorded in EXPERIMENTS.md.
+// BenchmarkScale100k is the same companion at the 100k-server preset
+// (`npexp scale100k`).
 func BenchmarkScale100k(b *testing.B) { benchScaleFleet(b, 100000) }
 
 // BenchmarkBinpack180 measures one VMC packing problem: 180 VMs, 180 bins.

@@ -655,10 +655,12 @@ func (c *Cluster) Advance(tick int) {
 
 // AdvanceWith is Advance with the per-unit work dispatched through run: run
 // must call fn(u) exactly once for every u in [0,n), in any order and on any
-// goroutines, and return only when all calls have completed. A nil run
-// evaluates the units serially. Units touch disjoint state and the reduction
-// happens after run returns, so the results are bitwise identical to the
-// serial Advance regardless of scheduling.
+// goroutines, and return only when all calls have completed. A tick that
+// refills the demand cache calls run twice, first for the fill and then for
+// the units. A nil run evaluates everything serially. Units (and fill spans)
+// touch disjoint state and the reduction happens after run returns, so the
+// results are bitwise identical to the serial Advance regardless of
+// scheduling.
 func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	c.ensureUnits()
 	c.LastTick = tick
@@ -669,7 +671,7 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	}
 	// Fill the demand row before dispatch: units then share it read-only, so
 	// the sharded path never races on the cache.
-	row := c.demandRow(tick)
+	row := c.demandRow(tick, run)
 	var t1 int64
 	if rec != nil {
 		t1 = rec.Now()
@@ -710,6 +712,68 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 	c.statsValid.Store(true)
 }
 
+// demandBlockTicks is the number of ticks transposed per demand-cache fill.
+// 32 amortizes the scattered per-trace reads well while keeping the cache at
+// 32 rows x len(VMs) columns (25 MB at 100k VMs).
+const demandBlockTicks = 32
+
+// demandFillSpan is the VM-column width of one parallel demand-cache fill
+// task: wide enough that a span's 32 row segments (8 KB each) dwarf the
+// cache lines it shares with its neighbours, narrow enough that a 100k-VM
+// fleet yields ~100 spans to balance across workers.
+const demandFillSpan = 1024
+
+// demandRow returns the raw per-VM demand for one tick, indexed by VM ID,
+// filling the block cache (through run, when non-nil) when the tick falls
+// outside it.
+func (c *Cluster) demandRow(tick int, run func(n int, fn func(u int))) []float64 {
+	if c.dcBase < 0 || tick < c.dcBase || tick >= c.dcBase+demandBlockTicks {
+		c.fillDemand(tick, run)
+	}
+	n := len(c.VMs)
+	off := (tick - c.dcBase) * n
+	return c.dcData[off : off+n]
+}
+
+// fillDemand transposes the next demandBlockTicks ticks of every trace into
+// tick-major rows. A nil run fills every column serially; otherwise run
+// fills fixed demandFillSpan-wide column spans concurrently. Spans write
+// disjoint columns with the exact bits Trace.At returns, so the cache
+// contents do not depend on the dispatch.
+func (c *Cluster) fillDemand(tick int, run func(n int, fn func(u int))) {
+	n := len(c.VMs)
+	if cap(c.dcData) < demandBlockTicks*n {
+		c.dcData = make([]float64, demandBlockTicks*n)
+	}
+	c.dcData = c.dcData[:demandBlockTicks*n]
+	c.dcBase = tick
+	if run == nil {
+		c.fillColumns(tick, 0, n)
+		return
+	}
+	run((n+demandFillSpan-1)/demandFillSpan, func(s int) {
+		lo := s * demandFillSpan
+		c.fillColumns(tick, lo, min(lo+demandFillSpan, n))
+	})
+}
+
+// fillColumns fills cache columns [lo,hi). The transpose is tiled so both
+// sides stay cache-resident: each trace contributes a short sequential run
+// of samples, and each row is written in short sequential segments.
+func (c *Cluster) fillColumns(tick, lo, hi int) {
+	n := len(c.VMs)
+	const tile = 32
+	for i0 := lo; i0 < hi; i0 += tile {
+		i1 := min(i0+tile, hi)
+		for i := i0; i < i1; i++ {
+			tr := c.VMs[i].Trace
+			for j := 0; j < demandBlockTicks; j++ {
+				c.dcData[j*n+i] = tr.At(tick + j)
+			}
+		}
+	}
+}
+
 // advanceUnit evaluates one unit's servers and accumulates its partial of the
 // fleet aggregate. Units are disjoint, so concurrent calls with distinct u
 // never race.
@@ -720,48 +784,6 @@ func (c *Cluster) AdvanceWith(tick int, run func(n int, fn func(u int))) {
 // model evaluation. Everything the aggregate needs is still accumulated per
 // server and per VM, in the same order and from the same values a full
 // evaluation would produce — the skip cannot change a single result bit.
-// demandBlockTicks is the number of ticks transposed per demand-cache fill.
-// 32 amortizes the scattered per-trace reads well while keeping the cache at
-// 32 rows x len(VMs) columns (25 MB at 100k VMs).
-const demandBlockTicks = 32
-
-// demandRow returns the raw per-VM demand for one tick, indexed by VM ID,
-// filling the block cache when the tick falls outside it.
-func (c *Cluster) demandRow(tick int) []float64 {
-	if c.dcBase < 0 || tick < c.dcBase || tick >= c.dcBase+demandBlockTicks {
-		c.fillDemand(tick)
-	}
-	n := len(c.VMs)
-	off := (tick - c.dcBase) * n
-	return c.dcData[off : off+n]
-}
-
-// fillDemand transposes the next demandBlockTicks ticks of every trace into
-// tick-major rows. The transpose is tiled so both sides stay cache-resident:
-// each trace contributes a short sequential run of samples, and each row is
-// written in short sequential segments.
-func (c *Cluster) fillDemand(tick int) {
-	n := len(c.VMs)
-	if cap(c.dcData) < demandBlockTicks*n {
-		c.dcData = make([]float64, demandBlockTicks*n)
-	}
-	c.dcData = c.dcData[:demandBlockTicks*n]
-	c.dcBase = tick
-	const tile = 32
-	for i0 := 0; i0 < n; i0 += tile {
-		i1 := i0 + tile
-		if i1 > n {
-			i1 = n
-		}
-		for i := i0; i < i1; i++ {
-			tr := c.VMs[i].Trace
-			for j := 0; j < demandBlockTicks; j++ {
-				c.dcData[j*n+i] = tr.At(tick + j)
-			}
-		}
-	}
-}
-
 func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 	p := &c.partials[u]
 	*p = unitPartial{}

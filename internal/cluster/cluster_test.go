@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nopower/internal/model"
@@ -390,5 +392,93 @@ func TestStatsNeverStale(t *testing.T) {
 	}
 	if got := c.Stats().ServersOn; got != before-1 {
 		t.Errorf("ServersOn = %d after PowerOff, want %d", got, before-1)
+	}
+}
+
+// concurrentRun is a work-stealing dispatcher over three goroutines that
+// honours AdvanceWith's run contract, so both the unit advance and the
+// demand-cache fill really run concurrently.
+func concurrentRun(n int, fn func(u int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u := int(next.Add(1)) - 1; u < n; u = int(next.Add(1)) - 1 {
+				fn(u)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// statsBits flattens a FleetStats for an exact comparison.
+func statsBits(st FleetStats) [13]uint64 {
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	return [13]uint64{
+		uint64(st.Tick), math.Float64bits(st.GroupPower), math.Float64bits(st.DemandWork),
+		math.Float64bits(st.DeliveredWork), uint64(st.ServersOn), uint64(st.ViolSM),
+		math.Float64bits(st.ViolSMWatts), uint64(st.ViolEM), uint64(st.EnclosureObs),
+		b(st.ViolGM), math.Float64bits(st.HeadroomGrp), math.Float64bits(st.HeadroomEnc),
+		math.Float64bits(st.HeadroomLoc),
+	}
+}
+
+// TestAdvanceWithMatchesAdvance drives twin clusters, one through the serial
+// Advance and one through AdvanceWith on a concurrent dispatcher, and
+// requires every sensor column and every FleetStats field to match bitwise
+// on every tick. 2517 VMs is not a multiple of the 1024-VM fill span, 100
+// ticks cross four demand-cache fills, and ScaleDemand drops the cache
+// mid-block so one fill starts off the 32-tick grid.
+func TestAdvanceWithMatchesAdvance(t *testing.T) {
+	const vms, ticks, scaleAt = 2517, 100, 45
+	set := func() *trace.Set {
+		s := &trace.Set{Name: "varied"}
+		for i := 0; i < vms; i++ {
+			// 50 samples, so the 100-tick run also reads wrapped samples.
+			d := make([]float64, 50)
+			for k := range d {
+				d[k] = 0.05 + 0.9*math.Abs(math.Sin(float64(i)*12.9898+float64(k)*78.233))
+			}
+			s.Traces = append(s.Traces, &trace.Trace{Name: "v", Class: "varied", Demand: d})
+		}
+		return s
+	}
+	cfg := smallCfg()
+	cfg.Enclosures, cfg.BladesPerEnclosure, cfg.Standalone = 100, 20, vms-2000
+	serial, sharded := mustNew(t, cfg, set()), mustNew(t, cfg, set())
+	for k := 0; k < ticks; k++ {
+		for _, c := range []*Cluster{serial, sharded} {
+			if k == scaleAt {
+				c.ScaleDemand(0.8)
+			}
+			if k%10 == 0 {
+				// Move a stride of servers to a deeper P-state so the dirty
+				// set and the full evaluation both run.
+				for i := k % 7; i < vms; i += 7 {
+					c.SetPState(i, (k/10)%3)
+				}
+			}
+		}
+		serial.Advance(k)
+		sharded.AdvanceWith(k, concurrentRun)
+		for i := 0; i < vms; i++ {
+			if math.Float64bits(serial.Power(i)) != math.Float64bits(sharded.Power(i)) ||
+				math.Float64bits(serial.Util(i)) != math.Float64bits(sharded.Util(i)) ||
+				math.Float64bits(serial.RealUtil(i)) != math.Float64bits(sharded.RealUtil(i)) {
+				t.Fatalf("tick %d server %d: serial (%v, %v, %v) sharded (%v, %v, %v)", k, i,
+					serial.Power(i), serial.Util(i), serial.RealUtil(i),
+					sharded.Power(i), sharded.Util(i), sharded.RealUtil(i))
+			}
+		}
+		if a, b := serial.Stats(), sharded.Stats(); statsBits(a) != statsBits(b) {
+			t.Fatalf("tick %d: stats differ:\n serial  %+v\n sharded %+v", k, a, b)
+		}
 	}
 }

@@ -116,7 +116,11 @@ func (e *Engine) tickOne(ci, k int) (perr *ControllerPanicError) {
 				e.profTick, e.profPhase = k, e.ctlProf[ci].shardPhase
 			}
 		}
-		return e.tickShards(stc, k)
+		perr := e.tickShards(stc, k)
+		if e.profRec != nil && e.profPhase != "" {
+			e.recordShards()
+		}
+		return perr
 	}
 	if e.FaultPolicy != FaultPropagate {
 		defer func() {

@@ -137,6 +137,18 @@ func (e *Engine) sampleRuntime(k int) {
 	}
 }
 
+// recordShards records the latest measured runUnits dispatch as one span per
+// worker under the tagged phase. It runs after the tagged call returns rather
+// than inside runUnits: a plant advance that refills the demand cache first
+// dispatches the fill through the same pool, and only the last dispatch, the
+// unit advance itself, may land as plant.shard spans (the fill's wall time is
+// already inside the plant.demand_row span).
+func (e *Engine) recordShards() {
+	for w := 0; w < e.shardWorkers; w++ {
+		e.profRec.Record(e.profTick, e.profPhase, w, e.shardStart[w], e.shardBusy[w])
+	}
+}
+
 // observeShards publishes the just-finished plant advance's per-worker busy
 // times as np_sim_shard_seconds gauges and their max/mean ratio as
 // np_sim_shard_imbalance (1.0 is a perfectly balanced dispatch). Gauge

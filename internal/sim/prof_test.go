@@ -10,10 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"nopower/internal/cluster"
 	"nopower/internal/core"
+	"nopower/internal/model"
 	"nopower/internal/obs"
 	"nopower/internal/obs/prof"
 	"nopower/internal/sim"
+	"nopower/internal/tracegen"
 )
 
 // profRun executes the coordinated stack for 60 ticks with the given
@@ -94,6 +97,57 @@ func TestEngineProfilerSpanTaxonomy(t *testing.T) {
 	}
 	if gc != 60 || alloc != 60 {
 		t.Errorf("counter samples: gc=%d alloc=%d, want 60 each", gc, alloc)
+	}
+}
+
+// TestShardSpansAcrossDemandRefill pins one plant.shard span per worker per
+// tick on a fleet whose demand-cache refills (ticks 0, 32 and 64) are
+// themselves dispatched over the shard pool: 2100 VMs make three 1024-VM
+// fill spans, so a refill tick runs two tagged dispatches on all three
+// workers, and only the unit advance may land as plant.shard spans.
+func TestShardSpansAcrossDemandRefill(t *testing.T) {
+	const ticks, shards = 70, 3
+	set, err := tracegen.BuildMix(tracegen.ScaleMix(2100), ticks, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{
+		Enclosures: 105, BladesPerEnclosure: 20,
+		Model:     model.BladeA(),
+		CapOffGrp: 0.20, CapOffEnc: 0.15, CapOffLoc: 0.10,
+		AlphaV: 0.10, AlphaM: 0.10, MigrationTicks: 10,
+	}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.NoVMC()
+	spec.Seed = 42
+	spec.Shards = shards
+	eng, _, err := core.Build(cl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prof.New(1 << 16)
+	eng.Prof = p
+	if _, err := eng.Run(ticks); err != nil {
+		t.Fatal(err)
+	}
+	var perWorker [ticks][shards]int
+	for _, s := range p.Spans() {
+		if s.Phase != prof.PhaseShard {
+			continue
+		}
+		if s.Shard < 0 || s.Shard >= shards {
+			t.Fatalf("tick %d: plant.shard span from worker %d, want [0,%d)", s.Tick, s.Shard, shards)
+		}
+		perWorker[s.Tick][s.Shard]++
+	}
+	for k := range perWorker {
+		for w, n := range perWorker[k] {
+			if n != 1 {
+				t.Errorf("tick %d worker %d: %d plant.shard spans, want 1", k, w, n)
+			}
+		}
 	}
 }
 

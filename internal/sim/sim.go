@@ -145,13 +145,14 @@ type Engine struct {
 	// Profiling state (prof.go). profRec is non-nil exactly when Prof is
 	// wired. profTick/profPhase parameterize the next runUnits dispatch's
 	// worker spans; both are written before goroutines are spawned, so the
-	// workers read them race-free. shardBusy holds per-worker busy time of
-	// the latest measured dispatch (one slot per worker, joined before it
-	// is read).
+	// workers read them race-free. shardStart/shardBusy hold per-worker
+	// start and busy time of the latest measured dispatch (one slot per
+	// worker, joined before it is read).
 	profRec      *teeRecorder
 	ctlProf      []ctlProf
 	profTick     int
 	profPhase    string
+	shardStart   []int64
 	shardBusy    []int64
 	shardWorkers int
 	mShard       []*obs.Gauge
@@ -281,24 +282,42 @@ func (e *Engine) observeMetrics(st cluster.FleetStats) {
 	}
 }
 
+// maxClaimBlock caps how many consecutive units a runUnits worker claims at
+// once; see runUnits.
+const maxClaimBlock = 64
+
 // runUnits dispatches fn over n units using up to e.Shards goroutines (the
-// calling goroutine participates). Units are claimed from a shared atomic
-// index — work-stealing keeps the load balanced however uneven the units —
-// and the WaitGroup join gives the caller a happens-before edge over every
-// unit's writes. Which goroutine runs which unit never affects results: units
-// touch disjoint state and all reductions happen after the join.
+// calling goroutine participates). Workers claim contiguous blocks of
+// min(maxClaimBlock, ceil(n/(4·workers))) units from a shared atomic index:
+// claiming stays work-stealing, so the load balances however uneven the
+// units, while a block keeps neighbouring units (whose server columns and
+// partial slots share cache lines) on one core and touches the shared
+// counter once per block. The 4·workers divisor leaves about four blocks per
+// worker, so a small dispatch still spreads: the 180-server fleet's 12 units
+// are claimed one at a time. The WaitGroup join gives the caller a
+// happens-before edge over every unit's writes. Which goroutine runs which
+// unit never affects results: units touch disjoint state and all reductions
+// happen after the join.
 func (e *Engine) runUnits(n int, fn func(u int)) {
 	workers := e.Shards
 	if workers > n {
 		workers = n
 	}
-	// Worker spans are recorded only for dispatches the caller tagged with a
-	// phase (the plant advance every tick, a ShardTicker on its epoch ticks)
-	// — profTick/profPhase are written before the goroutines spawn, so the
-	// workers read them race-free.
+	// Worker busy times are measured only for dispatches the caller tagged
+	// with a phase (the plant advance every tick, a ShardTicker on its epoch
+	// ticks) — profTick/profPhase are written before the goroutines spawn,
+	// so the workers read them race-free. The caller turns them into spans
+	// with recordShards once the tagged call returns.
 	rec := e.profRec
 	if rec != nil && e.profPhase == "" {
 		rec = nil
+	}
+	if rec != nil {
+		e.shardWorkers = max(workers, 1)
+		if len(e.shardBusy) < e.shardWorkers {
+			e.shardStart = make([]int64, e.shardWorkers)
+			e.shardBusy = make([]int64, e.shardWorkers)
+		}
 	}
 	if workers <= 1 {
 		if rec == nil {
@@ -311,21 +330,10 @@ func (e *Engine) runUnits(n int, fn func(u int)) {
 		for u := 0; u < n; u++ {
 			fn(u)
 		}
-		dur := rec.Now() - start
-		if len(e.shardBusy) < 1 {
-			e.shardBusy = make([]int64, 1)
-		}
-		e.shardBusy[0] = dur
-		e.shardWorkers = 1
-		rec.Record(e.profTick, e.profPhase, 0, start, dur)
+		e.shardStart[0], e.shardBusy[0] = start, rec.Now()-start
 		return
 	}
-	if rec != nil {
-		if len(e.shardBusy) < workers {
-			e.shardBusy = make([]int64, workers)
-		}
-		e.shardWorkers = workers
-	}
+	block := min(maxClaimBlock, (n+4*workers-1)/(4*workers))
 	var next atomic.Int64
 	work := func(w int) {
 		var start int64
@@ -333,16 +341,17 @@ func (e *Engine) runUnits(n int, fn func(u int)) {
 			start = rec.Now()
 		}
 		for {
-			u := int(next.Add(1)) - 1
-			if u >= n {
+			hi := int(next.Add(int64(block)))
+			lo := hi - block
+			if lo >= n {
 				break
 			}
-			fn(u)
+			for u := lo; u < min(hi, n); u++ {
+				fn(u)
+			}
 		}
 		if rec != nil {
-			dur := rec.Now() - start
-			e.shardBusy[w] = dur
-			rec.Record(e.profTick, e.profPhase, w, start, dur)
+			e.shardStart[w], e.shardBusy[w] = start, rec.Now()-start
 		}
 	}
 	var wg sync.WaitGroup
@@ -469,6 +478,7 @@ func (e *Engine) RunContext(ctx context.Context, ticks int) (*metrics.Collector,
 			}
 			e.Cluster.AdvanceWith(k, e.runFn)
 			if rec != nil {
+				e.recordShards()
 				e.observeShards()
 			}
 		} else {
