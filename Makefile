@@ -10,11 +10,11 @@ COVER_OUT    = coverage.out
 
 # Perf flight recorder (DESIGN.md §13): bench-json records a comparable
 # BENCH_<stamp>.json artifact; verify smoke-compares a default-benchtime
-# run of the scale benchmarks against the newest committed baseline. The
-# threshold is deliberately loose (200%) because the host is noisy and a
-# short run still carries warm-up — the gate catches order-of-magnitude
-# rot, not percent drift; `make bench-json` plus
-# `npprof compare -max-regress 0.05` is the precise workflow.
+# run of the scale and trace-synthesis benchmarks against the newest
+# committed baseline. The threshold is deliberately loose (200%) because
+# the host is noisy and a short run still carries warm-up — the gate
+# catches order-of-magnitude rot, not percent drift; `make bench-json`
+# plus `npprof compare -max-regress 0.05` is the precise workflow.
 BENCH_DIR         ?= bench
 BENCH_MAX_REGRESS ?= 2.0
 BENCH_BASELINE    ?= $(lastword $(sort $(wildcard $(BENCH_DIR)/BENCH_*.json)))
@@ -31,10 +31,11 @@ test:
 
 # verify is the baseline everything-compiles-and-passes gate: clean
 # formatting, vet, a full build, the test suite, and a short smoke of the
-# scale benchmarks piped through the flight recorder and compared
-# against the committed baseline (so neither the sharded scale path nor
-# the bench-json pipeline can rot between full bench runs) — the checks a
-# reviewer assumes are green before reading a line.
+# scale and trace-synthesis benchmarks piped through the flight recorder
+# and compared against the committed baseline (so neither the sharded
+# scale path, parallel trace synthesis nor the bench-json pipeline can rot
+# between full bench runs) — the checks assumed green before anyone
+# reads a line of a change.
 verify: lint testdata-tracked
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -44,7 +45,7 @@ verify: lint testdata-tracked
 	$(GO) build ./...
 	$(GO) test ./...
 	@tmp=$$(mktemp); \
-	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -bench 'BenchmarkScale10k|BenchmarkScale100k' . \
+	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkTracegenScale10k' . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/npprof record -note "verify smoke" -o $$tmp || exit 1; \
 	if [ -n "$(BENCH_BASELINE)" ]; then \
@@ -118,12 +119,14 @@ lint:
 # the determinism test runs the sharded engine's worker goroutines under the
 # detector, so this catches data races in shared caches, models, the metrics
 # pipeline, and the per-tick shard fan-out. The first line adds the
-# block-claiming dispatch contract and the concurrent AdvanceWith (unit
-# advance plus parallel demand-cache fill) against the serial Advance.
-# verify and the obs coverage floor ride along so one target stays the
-# pre-merge gate.
+# block-claiming dispatch contract, the concurrent AdvanceWith (unit
+# advance plus parallel demand-cache fill) against the serial Advance, and
+# the golden trace digests (parallel shaping and concurrent mix tiers at
+# GOMAXPROCS 1, 2 and 4 against digests recorded from the serial
+# generator). verify and the obs coverage floor ride along so one target
+# stays the pre-merge gate.
 race: verify cover
-	$(GO) test -race -count=1 -run 'TestShardDeterminism|TestRunUnitsContract|TestAdvanceWithMatchesAdvance' ./internal/sim ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestShardDeterminism|TestRunUnitsContract|TestAdvanceWithMatchesAdvance|TestGoldenMixDigests|TestGoldenGeneratorDigests' ./internal/sim ./internal/cluster ./internal/tracegen
 	$(GO) test -race ./...
 
 bench:
@@ -138,7 +141,7 @@ bench-json:
 	@mkdir -p $(BENCH_DIR)
 	@stamp=$$(date -u +%Y%m%dT%H%M%SZ); \
 	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkParallelSweep' . \
+		-bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkParallelSweep|BenchmarkTracegenScale10k' . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/npprof record -note "make bench-json" -o $(BENCH_DIR)/BENCH_$$stamp.json
 

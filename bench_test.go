@@ -344,6 +344,24 @@ func BenchmarkTracegen180(b *testing.B) {
 	}
 }
 
+// BenchmarkTracegenScale10k measures synthesizing the 10k-workload scale
+// mix at fleet100k's 600 ticks, on one CPU and on every CPU. The draw of
+// each tier's random stream is serial either way; the ratio of the two
+// sub-benchmarks is what the parallel shaping and the concurrent tiers buy.
+func BenchmarkTracegenScale10k(b *testing.B) {
+	for _, procs := range serialAndAll() {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tracegen.BuildMix(tracegen.ScaleMix(10000), 600, 42); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkECSteadyPower measures the packer's feasibility-curve evaluation.
 func BenchmarkECSteadyPower(b *testing.B) {
 	m := model.ServerB()

@@ -128,7 +128,7 @@ func (s JobSpec) Validate() error {
 	if s.Ticks < 0 {
 		return fmt.Errorf("serve: negative ticks %d", s.Ticks)
 	}
-	if _, err := tracegen.BuildMix(tracegen.Mix(s.Mix), 1, 1); err != nil {
+	if _, err := tracegen.MixSize(tracegen.Mix(s.Mix)); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil

@@ -108,6 +108,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestValidateHugeMixIsCheap pins that submit-time validation parses the
+// mix name instead of generating it: a 50M-trace scale mix must validate
+// in a handful of allocations, and an unknown mix keeps tracegen's error.
+func TestValidateHugeMixIsCheap(t *testing.T) {
+	huge := JobSpec{Mix: "scale50000000", Ticks: 100}
+	if err := huge.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _ = huge.Validate() }); allocs > 16 {
+		t.Errorf("validating %q made %.0f allocations, want <= 16", huge.Mix, allocs)
+	}
+	err := JobSpec{Mix: "bogus"}.Validate()
+	if err == nil || err.Error() != `serve: tracegen: unknown mix "bogus"` {
+		t.Errorf("unknown mix error = %v", err)
+	}
+}
+
 // TestConcurrentIdenticalSubmitsComputeOnce pins the shared-cache contract:
 // N tenants submitting the same spec share exactly one computation — one
 // job computes, every other is a dedup hit with a bitwise-identical output.

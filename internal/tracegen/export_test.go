@@ -8,5 +8,6 @@ import (
 
 // oneForTest exposes the single-trace generator to tests with a fixed RNG.
 func oneForTest(cls Class, p Params) *trace.Trace {
-	return one("test", cls, p, rand.New(rand.NewSource(p.Seed)))
+	d := synth(cls, p.normalized(), rand.New(rand.NewSource(p.Seed)))
+	return &trace.Trace{Name: "test", Class: cls.Name, Demand: d}
 }

@@ -51,12 +51,7 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 	if p.Ticks <= 0 {
 		return nil, fmt.Errorf("tracegen: ticks = %d", p.Ticks)
 	}
-	if p.TicksPerDay <= 0 {
-		p.TicksPerDay = 1000
-	}
-	if p.Level <= 0 {
-		p.Level = 1.0
-	}
+	p = p.normalized()
 	rng := rand.New(rand.NewSource(p.Seed))
 	set := &trace.Set{Name: fmt.Sprintf("tiered-%dx%d", stacks, len(tiers))}
 
@@ -66,9 +61,7 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 		BurstProb: 0.005, BurstAmp: 0.30, BurstLen: 15,
 	}
 	for s := 0; s < stacks; s++ {
-		requests := one(fmt.Sprintf("stack%02d-req", s), base, Params{
-			Ticks: p.Ticks, TicksPerDay: p.TicksPerDay, Level: p.Level,
-		}, rng)
+		requests := synth(base, p, rng)
 		for _, tier := range tiers {
 			tr := &trace.Trace{
 				Name:   fmt.Sprintf("stack%02d-%s", s, tier.Name),
@@ -79,7 +72,7 @@ func GenerateMultiTier(stacks int, tiers []Tier, p Params) (*trace.Set, error) {
 			const phi = 0.8
 			for k := 0; k < p.Ticks; k++ {
 				ar = phi*ar + rng.NormFloat64()*tier.LocalNoise*math.Sqrt(1-phi*phi)
-				d := requests.Demand[k]*tier.Gain + ar
+				d := requests[k]*tier.Gain + ar
 				if d < 0 {
 					d = 0
 				}

@@ -18,6 +18,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 
 	"nopower/internal/trace"
 )
@@ -103,7 +107,23 @@ type Params struct {
 	Stack int
 }
 
-// Generate produces n traces cycling through the workload classes.
+// normalized fills in the Params defaults: a 1000-tick day, level 1 and
+// no stacking.
+func (p Params) normalized() Params {
+	if p.TicksPerDay <= 0 {
+		p.TicksPerDay = 1000
+	}
+	if p.Level <= 0 {
+		p.Level = 1.0
+	}
+	if p.Stack < 1 {
+		p.Stack = 1
+	}
+	return p
+}
+
+// Generate produces n traces cycling through the workload classes. Large
+// sets are shaped on every CPU; the bits never depend on the CPU count.
 func Generate(n int, p Params) (*trace.Set, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("tracegen: n = %d", n)
@@ -111,47 +131,159 @@ func Generate(n int, p Params) (*trace.Set, error) {
 	if p.Ticks <= 0 {
 		return nil, fmt.Errorf("tracegen: ticks = %d", p.Ticks)
 	}
-	if p.TicksPerDay <= 0 {
-		p.TicksPerDay = 1000
-	}
-	if p.Level <= 0 {
-		p.Level = 1.0
-	}
-	stack := p.Stack
-	if stack < 1 {
-		stack = 1
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	classes := Classes()
-	set := &trace.Set{Name: fmt.Sprintf("gen-%d", n)}
-	for i := 0; i < n; i++ {
-		cls := classes[i%len(classes)]
-		parts := make([]*trace.Trace, stack)
-		for s := 0; s < stack; s++ {
-			parts[s] = one(fmt.Sprintf("%s-%03d", cls.Name, i), cls, p, rng)
+	set := &trace.Set{Name: fmt.Sprintf("gen-%d", n), Traces: make([]*trace.Trace, n)}
+	generate(set.Traces, 0, p.normalized())
+	return set, nil
+}
+
+// blockSize is how many traces the draw goroutine hands a shaping worker
+// at once. It sits just above the largest paper-mix tier (120 traces), so
+// those mixes are generated inline on the caller's goroutine and never fan
+// out, while a 100k-trace mix still splits into hundreds of blocks.
+const blockSize = 128
+
+// generate fills out with len(out) traces from one seeded stream. Trace i
+// takes class i mod 5 and is named "<class>-<first+i>", first being its
+// index in the enclosing set. One goroutine draws the stream in order.
+// When there is more than one block and more than one CPU, a pool of
+// GOMAXPROCS workers shapes the drawn blocks; otherwise the caller shapes
+// each trace right after drawing it. Shaping is a pure function of the
+// draw, so both schedules produce the same bits (DESIGN.md §2).
+func generate(out []*trace.Trace, first int, p Params) {
+	g := &generator{p: p, classes: Classes(), rng: rand.New(rand.NewSource(p.Seed)), out: out, first: first}
+	blocks := (len(out) + blockSize - 1) / blockSize
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	if workers <= 1 {
+		// Trace by trace, so stack parts become garbage as soon as they
+		// are summed, as they did before shaping was split from drawing.
+		for i := range out {
+			g.shapeBlock(g.drawBlock(i, i+1))
 		}
-		tr := parts[0]
+		return
+	}
+	// One queued block per worker lets the drawer run a block ahead of
+	// every worker, and caps the bitsets and stack parts in flight.
+	work := make(chan *block, workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				g.shapeBlock(b)
+			}
+		}()
+	}
+	for lo := 0; lo < len(out); lo += blockSize {
+		work <- g.drawBlock(lo, min(lo+blockSize, len(out)))
+	}
+	close(work)
+	wg.Wait()
+}
+
+// generator is one Generate call: the stream only the draw goroutine
+// touches, and the output slots each block's shaper fills.
+type generator struct {
+	p       Params
+	classes []Class
+	rng     *rand.Rand
+	out     []*trace.Trace
+	first   int
+}
+
+// block is a run of traces [lo, hi) whose random draws are done and whose
+// shaping is not. Each trace has p.Stack parts, stored trace-major.
+type block struct {
+	lo, hi int
+	// parts holds each part's AR(1) values until shaping turns them into
+	// demand in place.
+	parts  [][]float64
+	phases []float64
+	// bursts holds burstWords(p.Ticks) words of burst flags per part.
+	bursts []uint64
+}
+
+// burstWords is the bitset length, in words, of one part's burst flags.
+func burstWords(ticks int) int { return (ticks + 63) / 64 }
+
+// drawBlock consumes the stream for traces [lo, hi).
+func (g *generator) drawBlock(lo, hi int) *block {
+	stack, words := g.p.Stack, burstWords(g.p.Ticks)
+	n := (hi - lo) * stack
+	b := &block{lo: lo, hi: hi, parts: make([][]float64, n), phases: make([]float64, n),
+		bursts: make([]uint64, n*words)}
+	for j := range b.parts {
+		cls := g.classes[(lo+j/stack)%len(g.classes)]
+		b.parts[j] = make([]float64, g.p.Ticks)
+		b.phases[j] = draw(cls, b.parts[j], b.bursts[j*words:(j+1)*words], g.rng)
+	}
+	return b
+}
+
+// shapeBlock finishes a drawn block: shapes every part, stacks the parts of
+// each trace, clips, names and stores the traces in their output slots.
+func (g *generator) shapeBlock(b *block) {
+	stack, words := g.p.Stack, burstWords(g.p.Ticks)
+	for j, d := range b.parts {
+		cls := g.classes[(b.lo+j/stack)%len(g.classes)]
+		shape(cls, g.p, b.phases[j], d, b.bursts[j*words:(j+1)*words])
+	}
+	for i := b.lo; i < b.hi; i++ {
+		cls := g.classes[i%len(g.classes)]
+		name := fmt.Sprintf("%s-%03d", cls.Name, g.first+i)
+		parts := b.parts[(i-b.lo)*stack : (i-b.lo+1)*stack]
+		tr := &trace.Trace{Name: name, Class: cls.Name, Demand: parts[0]}
 		if stack > 1 {
-			tr = trace.Stack(fmt.Sprintf("%s-%03d", cls.Name, i), parts...)
+			stacked := make([]*trace.Trace, stack)
+			for s, d := range parts {
+				stacked[s] = &trace.Trace{Demand: d}
+			}
+			tr = trace.Stack(name, stacked...)
 			tr.Class = cls.Name
 		}
 		// Demand above ~1.3 of a full server is unrealistic for a single
 		// consolidatable VM; clip so stacked mixes stay servable-ish.
 		tr.Clip(1.3)
-		set.Traces = append(set.Traces, tr)
+		g.out[i] = tr
 	}
-	return set, nil
 }
 
-// one synthesizes a single trace: base + diurnal + AR(1) noise + bursts,
-// scaled by Level and clamped to be non-negative.
-func one(name string, cls Class, p Params, rng *rand.Rand) *trace.Trace {
-	tr := &trace.Trace{Name: name, Class: cls.Name, Demand: make([]float64, p.Ticks)}
-	phase := rng.Float64() * 2 * math.Pi
+// draw consumes one trace's share of the seeded stream in the order the
+// generator has always used: the diurnal phase, then per tick the AR(1)
+// innovation and the burst start and length draws. It leaves the AR(1)
+// value of tick k in d[k], sets bit k of burst while a burst runs, and
+// returns the phase.
+func draw(cls Class, d []float64, burst []uint64, rng *rand.Rand) (phase float64) {
+	clear(burst)
+	phase = rng.Float64() * 2 * math.Pi
 	ar := 0.0
 	burstLeft := 0
-	for k := 0; k < p.Ticks; k++ {
-		dayPos := float64(k%p.TicksPerDay) / float64(p.TicksPerDay)
+	for k := range d {
+		ar = cls.NoisePhi*ar + rng.NormFloat64()*cls.NoiseSigma*math.Sqrt(1-cls.NoisePhi*cls.NoisePhi)
+		if burstLeft > 0 {
+			burstLeft--
+		} else if rng.Float64() < cls.BurstProb {
+			burstLeft = 1 + rng.Intn(2*cls.BurstLen)
+		}
+		if burstLeft > 0 {
+			burst[uint(k)/64] |= 1 << (uint(k) % 64)
+		}
+		d[k] = ar
+	}
+	return phase
+}
+
+// shape turns one drawn trace into demand in place: base + diurnal + AR(1)
+// noise + bursts, scaled by Level and clamped to be non-negative. d holds
+// the AR(1) values on entry. It reads no random state, so any goroutine
+// may shape any drawn trace.
+func shape(cls Class, p Params, phase float64, d []float64, bursts []uint64) {
+	dayTick := 0 // k mod TicksPerDay, advanced instead of divided per tick
+	for k, ar := range d {
+		dayPos := float64(dayTick) / float64(p.TicksPerDay)
+		if dayTick++; dayTick == p.TicksPerDay {
+			dayTick = 0
+		}
 		var diurnal float64
 		if cls.BusinessHours {
 			// Plateau between ~08:00 and ~18:00 of the synthetic day.
@@ -161,23 +293,25 @@ func one(name string, cls Class, p Params, rng *rand.Rand) *trace.Trace {
 		} else {
 			diurnal = cls.DiurnalAmp * 0.5 * (1 + math.Sin(2*math.Pi*dayPos+phase))
 		}
-		ar = cls.NoisePhi*ar + rng.NormFloat64()*cls.NoiseSigma*math.Sqrt(1-cls.NoisePhi*cls.NoisePhi)
-		if burstLeft > 0 {
-			burstLeft--
-		} else if rng.Float64() < cls.BurstProb {
-			burstLeft = 1 + rng.Intn(2*cls.BurstLen)
-		}
 		var burst float64
-		if burstLeft > 0 {
+		if bursts[uint(k)/64]&(1<<(uint(k)%64)) != 0 {
 			burst = cls.BurstAmp
 		}
-		d := (cls.Base + diurnal + ar + burst) * p.Level
-		if d < 0 {
-			d = 0
+		v := (cls.Base + diurnal + ar + burst) * p.Level
+		if v < 0 {
+			v = 0
 		}
-		tr.Demand[k] = d
+		d[k] = v
 	}
-	return tr
+}
+
+// synth draws and shapes one trace on the caller's goroutine, for
+// generators that interleave other draws with the stream.
+func synth(cls Class, p Params, rng *rand.Rand) []float64 {
+	d := make([]float64, p.Ticks)
+	bursts := make([]uint64, burstWords(p.Ticks))
+	shape(cls, p, draw(cls, d, bursts, rng), d, bursts)
+	return d
 }
 
 // AI-burst generation (WDPC-style): synchronized data-parallel training.
@@ -284,151 +418,122 @@ const MixHetero Mix = "hetero"
 // HeteroMix names a heterogeneous-fleet mix of n workloads.
 func HeteroMix(n int) Mix { return Mix(fmt.Sprintf("hetero%d", n)) }
 
-// scaleMixSize parses a ScaleMix name; ok is false for the canonical mixes.
-func scaleMixSize(mix Mix) (n int, ok bool) {
-	return sizedMix(mix, "scale%d")
+// tier is one independently seeded run of a mix: count traces generated
+// from seed+seedOffset at the given level, stacked when stack > 1.
+type tier struct {
+	count      int
+	seedOffset int64
+	level      float64
+	stack      int
 }
 
-// aiBurstMixSize parses an AIBurstMix name (not the bare "aiburst").
-func aiBurstMixSize(mix Mix) (n int, ok bool) {
-	return sizedMix(mix, "aiburst%d")
+// blendTiers is the Mix180 blend at n workloads: two-thirds low level from
+// the mix seed, the rest medium from seed+1. Mix180 is blendTiers(180).
+func blendTiers(n int) []tier {
+	lo := 2 * n / 3
+	return []tier{{count: lo, level: 0.55}, {count: n - lo, seedOffset: 1, level: 0.95}}
 }
 
-// heteroMixSize parses a HeteroMix name (not the bare "hetero").
-func heteroMixSize(mix Mix) (n int, ok bool) {
-	return sizedMix(mix, "hetero%d")
+// heteroTiers blends three utilization tiers — n/2 low (0.55), 3n/10
+// medium (0.95), the rest stacked-high (x2 at 0.85, the 60HH construction)
+// — with tier-split seeds like Mix180. The wide spread is deliberate: on a
+// mixed fleet the low tier exercises consolidation onto the efficient boxes
+// while the stacked tail keeps the big machines in their DVFS band.
+func heteroTiers(n int) []tier {
+	lo, mid := n/2, 3*n/10
+	return []tier{{count: lo, level: 0.55}, {count: mid, seedOffset: 1, level: 0.95},
+		{count: n - lo - mid, seedOffset: 2, level: 0.85, stack: 2}}
 }
 
-// sizedMix parses a "<prefix><n>" mix name against its format string.
-func sizedMix(mix Mix, format string) (n int, ok bool) {
-	var parsed int
-	if _, err := fmt.Sscanf(string(mix), format, &parsed); err != nil || parsed <= 0 {
+// resolveMix parses a mix name into its size and tiers. The tiers are nil
+// for the AI-burst family, which GenerateAIBurst builds as one piece.
+func resolveMix(mix Mix) (n int, tiers []tier, err error) {
+	switch mix {
+	case Mix180:
+		return 180, blendTiers(180), nil
+	case Mix60L:
+		return 60, []tier{{count: 60, level: 0.6}}, nil
+	case Mix60M:
+		return 60, []tier{{count: 60, level: 1.2}}, nil
+	case Mix60H:
+		return 60, []tier{{count: 60, level: 1.8}}, nil
+	case Mix60HH:
+		return 60, []tier{{count: 60, level: 0.85, stack: 2}}, nil
+	case Mix60HHH:
+		return 60, []tier{{count: 60, level: 0.85, stack: 3}}, nil
+	case MixAIBurst:
+		return 60, nil, nil
+	case MixHetero:
+		return 60, heteroTiers(60), nil
+	}
+	if n, ok := sizedMix(mix, "scale"); ok {
+		return n, blendTiers(n), nil
+	}
+	if n, ok := sizedMix(mix, "hetero"); ok {
+		return n, heteroTiers(n), nil
+	}
+	if n, ok := sizedMix(mix, "aiburst"); ok {
+		return n, nil, nil
+	}
+	return 0, nil, fmt.Errorf("tracegen: unknown mix %q", mix)
+}
+
+// sizedMix parses a "<prefix><n>" mix name, n a positive decimal without
+// leading zeros.
+func sizedMix(mix Mix, prefix string) (n int, ok bool) {
+	digits, ok := strings.CutPrefix(string(mix), prefix)
+	if !ok || digits == "" || digits[0] < '1' || digits[0] > '9' {
 		return 0, false
 	}
-	if string(mix) != fmt.Sprintf(format, parsed) {
-		return 0, false
-	}
-	return parsed, true
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
+}
+
+// MixSize returns the number of traces BuildMix would generate for mix,
+// without generating any; an unknown name gets BuildMix's error.
+func MixSize(mix Mix) (int, error) {
+	n, _, err := resolveMix(mix)
+	return n, err
 }
 
 // BuildMix generates a canonical mix at the given length and seed.
 // The 180 mix blends levels like the nine-enterprise corpus (mostly low,
-// some medium); 60L/M/H scale one level; 60HH/HHH stack traces.
+// some medium); 60L/M/H scale one level; 60HH/HHH stack traces. Tiers
+// larger than one shaping block are generated concurrently, each from its
+// own seed, into disjoint slots of the set.
 func BuildMix(mix Mix, ticks int, seed int64) (*trace.Set, error) {
-	switch mix {
-	case Mix180:
-		lo, err := Generate(120, Params{Ticks: ticks, Seed: seed, Level: 0.55})
-		if err != nil {
-			return nil, err
-		}
-		mid, err := Generate(60, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95})
-		if err != nil {
-			return nil, err
-		}
-		set := &trace.Set{Name: string(mix), Traces: append(lo.Traces, mid.Traces...)}
-		renumber(set)
-		return set, nil
-	case Mix60L:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.6})
-		return named(mix, set, err)
-	case Mix60M:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 1.2})
-		return named(mix, set, err)
-	case Mix60H:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 1.8})
-		return named(mix, set, err)
-	case Mix60HH:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.85, Stack: 2})
-		return named(mix, set, err)
-	case Mix60HHH:
-		set, err := Generate(60, Params{Ticks: ticks, Seed: seed, Level: 0.85, Stack: 3})
-		return named(mix, set, err)
-	case MixAIBurst:
-		set, err := GenerateAIBurst(60, Params{Ticks: ticks, Seed: seed})
-		return named(mix, set, err)
-	}
-	if mix == MixHetero {
-		return buildHetero(mix, 60, ticks, seed)
-	}
-	if n, ok := heteroMixSize(mix); ok {
-		return buildHetero(mix, n, ticks, seed)
-	}
-	if n, ok := aiBurstMixSize(mix); ok {
-		set, err := GenerateAIBurst(n, Params{Ticks: ticks, Seed: seed})
-		return named(mix, set, err)
-	}
-	if n, ok := scaleMixSize(mix); ok {
-		// The Mix180 blend generalized to n workloads: two-thirds low-level,
-		// the rest medium, seeds split the same way.
-		nLo := 2 * n / 3
-		nMid := n - nLo
-		set := &trace.Set{Name: string(mix)}
-		if nLo > 0 {
-			lo, err := Generate(nLo, Params{Ticks: ticks, Seed: seed, Level: 0.55})
-			if err != nil {
-				return nil, err
-			}
-			set.Traces = append(set.Traces, lo.Traces...)
-		}
-		if nMid > 0 {
-			mid, err := Generate(nMid, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95})
-			if err != nil {
-				return nil, err
-			}
-			set.Traces = append(set.Traces, mid.Traces...)
-		}
-		renumber(set)
-		return set, nil
-	}
-	return nil, fmt.Errorf("tracegen: unknown mix %q", mix)
-}
-
-// buildHetero blends three utilization tiers — n/2 low (0.55), 3n/10 medium
-// (0.95), the rest stacked-high (x2 at 0.85, the 60HH construction) — with
-// tier-split seeds like Mix180. The wide spread is deliberate: on a mixed
-// fleet the low tier exercises consolidation onto the efficient boxes while
-// the stacked tail keeps the big machines in their DVFS band.
-func buildHetero(mix Mix, n, ticks int, seed int64) (*trace.Set, error) {
-	nLo := n / 2
-	nMid := 3 * n / 10
-	nHi := n - nLo - nMid
-	set := &trace.Set{Name: string(mix)}
-	for _, tier := range []struct {
-		count int
-		p     Params
-	}{
-		{nLo, Params{Ticks: ticks, Seed: seed, Level: 0.55}},
-		{nMid, Params{Ticks: ticks, Seed: seed + 1, Level: 0.95}},
-		{nHi, Params{Ticks: ticks, Seed: seed + 2, Level: 0.85, Stack: 2}},
-	} {
-		if tier.count <= 0 {
-			continue
-		}
-		part, err := Generate(tier.count, tier.p)
-		if err != nil {
-			return nil, err
-		}
-		set.Traces = append(set.Traces, part.Traces...)
-	}
-	if len(set.Traces) == 0 {
-		return nil, fmt.Errorf("tracegen: hetero mix %q is empty", mix)
-	}
-	renumber(set)
-	return set, nil
-}
-
-func named(mix Mix, set *trace.Set, err error) (*trace.Set, error) {
+	n, tiers, err := resolveMix(mix)
 	if err != nil {
 		return nil, err
 	}
-	set.Name = string(mix)
-	renumber(set)
-	return set, nil
-}
-
-// renumber gives traces unique sequential names within the set.
-func renumber(set *trace.Set) {
-	for i, tr := range set.Traces {
-		tr.Name = fmt.Sprintf("%s-%03d", tr.Class, i)
+	if ticks <= 0 {
+		return nil, fmt.Errorf("tracegen: ticks = %d", ticks)
 	}
+	if tiers == nil {
+		set, err := GenerateAIBurst(n, Params{Ticks: ticks, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		set.Name = string(mix)
+		return set, nil
+	}
+	set := &trace.Set{Name: string(mix), Traces: make([]*trace.Trace, n)}
+	var wg sync.WaitGroup
+	first := 0
+	for _, t := range tiers {
+		out := set.Traces[first : first+t.count]
+		p := Params{Ticks: ticks, Seed: seed + t.seedOffset, Level: t.level, Stack: t.stack}.normalized()
+		if t.count > blockSize {
+			wg.Add(1)
+			go func(first int) {
+				defer wg.Done()
+				generate(out, first, p)
+			}(first)
+		} else {
+			generate(out, first, p)
+		}
+		first += t.count
+	}
+	wg.Wait()
+	return set, nil
 }

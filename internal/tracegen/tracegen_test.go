@@ -1,6 +1,7 @@
 package tracegen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -243,5 +244,49 @@ func TestBusinessHoursPlateau(t *testing.T) {
 	night := tr.Demand[100] // outside
 	if work <= night {
 		t.Errorf("business-hours demand %.3f not above off-hours %.3f", work, night)
+	}
+}
+
+func TestMixSizeMatchesBuildMix(t *testing.T) {
+	for _, m := range append(AllMixes(), MixAIBurst, MixHetero, ScaleMix(1), ScaleMix(7), HeteroMix(1), HeteroMix(13), AIBurstMix(3)) {
+		n, err := MixSize(m)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		set, err := BuildMix(m, 20, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if set.Len() != n {
+			t.Errorf("MixSize(%s) = %d, BuildMix made %d traces", m, n, set.Len())
+		}
+	}
+	for _, bad := range []Mix{"nope", "scale", "scale0", "scale007", "scale+5", "scale-5", "scale5x", "hetero0", "aiburst 5", "60l"} {
+		if _, err := MixSize(bad); err == nil || err.Error() != fmt.Sprintf("tracegen: unknown mix %q", bad) {
+			t.Errorf("MixSize(%q) error = %v", bad, err)
+		}
+		if _, err := BuildMix(bad, 20, 1); err == nil {
+			t.Errorf("BuildMix(%q) accepted", bad)
+		}
+	}
+}
+
+// Mix180 is the scale construction at 180 workloads; only the set name
+// differs.
+func TestMix180IsScale180(t *testing.T) {
+	a, err := BuildMix(Mix180, 300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildMix(ScaleMix(180), 300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Name != "180" || b.Name != "scale180" {
+		t.Fatalf("set names %q, %q", a.Name, b.Name)
+	}
+	b.Name = a.Name
+	if setDigest(a) != setDigest(b) {
+		t.Error("Mix180 and ScaleMix(180) differ")
 	}
 }
