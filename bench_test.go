@@ -227,25 +227,17 @@ func benchProfiler() *prof.Profiler {
 }
 
 // reportPhases turns the profiled run's span ring into custom benchmark
-// metrics: mean ns per span for the dominant engine phases plus the shard
-// load-imbalance ratio. They ride the `go test -bench` output into the
-// flight-recorder artifact (npprof record), giving every BENCH_*.json a
-// phase breakdown next to its ns/op.
+// metrics: every phase that recorded spans becomes `<phase>-ns/span`, its
+// mean span length — plant phases, each controller law and its per-shard
+// share, the whole tick — plus the shard load-imbalance ratio. They ride the
+// `go test -bench` output into the flight-recorder artifact (npprof record),
+// giving every BENCH_*.json a per-layer breakdown next to its ns/op.
 func reportPhases(b *testing.B, p *prof.Profiler) {
 	if p == nil {
 		return
 	}
-	unit := map[string]string{
-		prof.PhaseAdvance:    "advance-ns/tick",
-		prof.PhaseReduce:     "reduce-ns/tick",
-		prof.PhaseObserve:    "observe-ns/tick",
-		prof.PhaseTick:       "tick-ns/tick",
-		prof.PhaseCheckpoint: "checkpoint-ns/op",
-	}
 	for _, st := range p.PhaseStats() {
-		if u, ok := unit[st.Phase]; ok && st.Count > 0 {
-			b.ReportMetric(float64(st.Total)/float64(st.Count), u)
-		}
+		b.ReportMetric(float64(st.Total)/float64(st.Count), st.Phase+"-ns/span")
 	}
 	if imb := p.ShardImbalance(prof.PhaseShard); imb > 0 {
 		b.ReportMetric(imb, "imbalance")

@@ -64,8 +64,9 @@ type Config struct {
 	// the heterogeneous-fleet path, typically produced by
 	// model.Distribution.Models. When set its length must equal the fleet
 	// size; nil entries fall back to Model. Servers sharing a profile should
-	// share the *model.Model instance (Distribution.Models guarantees this)
-	// so the plant's same-model pointer hoist keeps paying off.
+	// share the *model.Model instance (Distribution.Models guarantees this):
+	// New validates each distinct instance once, and the EC law hoists the
+	// per-model P0 frequency across runs of servers sharing a pointer.
 	Models []*model.Model
 	// CapOffGrp, CapOffEnc, CapOffLoc are the budget headrooms: budgets are
 	// (1-off) of the level's maximum draw. The paper's base is 20-15-10 =
@@ -130,34 +131,17 @@ type Cluster struct {
 	partials   []unitPartial
 	standalone []int // cached StandaloneServers result (topology is immutable)
 
-	// Dirty-set fast path. A powered server whose inputs are unchanged this
-	// tick — no mutator touched it (dirty), its P-state is the one the cached
-	// sensors were computed under, and its overheaded demand sum fD carries
-	// the exact bits of the previous evaluation (lastFD) — skips the
-	// capacity/power model evaluation and reuses the sensor columns as the
-	// cache. The skip is bit-transparent: it only elides recomputing pure
-	// functions of unchanged inputs, never changes an accumulation order, so
-	// skipped and unskipped runs are Float64bits-identical by construction.
-	dirty  []bool
-	lastFD []float64
 	// Demand block cache: a tick-major transposition of every VM's demand.
 	// Reading trace sample k for 100k VMs chases 100k scattered Trace
 	// allocations per tick; the cache pays that pointer chase once per
 	// demandBlockTicks ticks (a tiled transpose with sequential reads per
 	// trace) and turns the per-tick read into one contiguous row scan. The
 	// cached values are the exact bits Trace.At would return, so the cache is
-	// invisible to results; markAllDirty drops it whenever traces may have
-	// changed (ScaleDemand, RestoreState). dcBase is the first cached tick,
+	// invisible to results; the mutators that may rewrite traces
+	// (ScaleDemand, RestoreState) drop it. dcBase is the first cached tick,
 	// -1 when invalid.
 	dcBase int
 	dcData []float64
-
-	// migHigh is the high-water mark of every VM's MigratingUntil: when a
-	// tick is at or past it, no migration penalty can be in flight anywhere,
-	// and the advance skips the per-VM MigratingUntil reads entirely (the
-	// skipped comparison could not have fired, so the skip is
-	// bit-transparent). Monotone under Move; recomputed by RestoreState.
-	migHigh int
 
 	stats FleetStats
 	// statsValid is atomic because the sharded EC/VMEC epochs call SetPState
@@ -320,15 +304,12 @@ func New(cfg Config, workloads *trace.Set) (*Cluster, error) {
 	c.model = make([]*model.Model, n)
 	c.encOf = make([]int, n)
 	c.srvVMs = make([][]int, n)
-	c.dirty = make([]bool, n)
-	c.lastFD = make([]float64, n)
 
 	id := 0
 	for e := 0; e < cfg.Enclosures; e++ {
 		enc := &Enclosure{ID: e}
 		for b := 0; b < cfg.BladesPerEnclosure; b++ {
 			c.on[id] = true
-			c.dirty[id] = true
 			c.model[id] = cfg.modelFor(id)
 			c.encOf[id] = e
 			enc.Servers = append(enc.Servers, id)
@@ -338,7 +319,6 @@ func New(cfg Config, workloads *trace.Set) (*Cluster, error) {
 	}
 	for s := 0; s < cfg.Standalone; s++ {
 		c.on[id] = true
-		c.dirty[id] = true
 		c.model[id] = cfg.modelFor(id)
 		c.encOf[id] = -1
 		id++
@@ -418,48 +398,30 @@ func (c *Cluster) Capacity(i int) float64 {
 }
 
 // invalidateStats is the single place the stats cache is invalidated; every
-// mutator funnels through it (directly or via markDirty). The load before the
-// store keeps a sharded epoch from bouncing the flag's cache line between
-// workers: only the first change after an Advance writes it.
+// mutator calls it. The load before the store keeps a sharded epoch from
+// bouncing the flag's cache line between workers: only the first change
+// after an Advance writes it.
 func (c *Cluster) invalidateStats() {
 	if c.statsValid.Load() {
 		c.statsValid.Store(false)
 	}
 }
 
-// markDirty records that server i's plant inputs changed, forcing the next
-// Advance to re-evaluate it (and invalidating the stats cache).
-func (c *Cluster) markDirty(i int) {
-	c.dirty[i] = true
-	c.invalidateStats()
-}
-
-// markAllDirty forces the next Advance to re-evaluate every server and
-// rebuild the demand block cache (the fleet-wide mutators that land here —
-// ScaleDemand, RestoreState — are exactly the ones that may rewrite traces).
-func (c *Cluster) markAllDirty() {
-	c.dcBase = -1
-	for i := range c.dirty {
-		c.dirty[i] = true
-	}
-	c.invalidateStats()
-}
-
 // SetPState moves server i to ACPI operating point p. Writing the current
-// value is a no-op, so steady-state controllers re-asserting their setting
-// do not defeat the dirty-set fast path.
+// value is a no-op, so a controller re-asserting its setting every tick
+// does not invalidate the stats cache.
 func (c *Cluster) SetPState(i, p int) {
 	if c.pstate[i] == p {
 		return
 	}
 	c.pstate[i] = p
-	c.markDirty(i)
+	c.invalidateStats()
 }
 
 // SetStaticCap sets CAP_LOC for server i (thermal re-provisioning, e.g. the
-// cooling manager). Budgets do not feed the plant's sensor evaluation, so
-// the server stays clean; the stats cache is invalidated because violation
-// accounting compares against the budget.
+// cooling manager). The stats cache is invalidated because violation
+// accounting compares against the budget; writing the current value is a
+// no-op, so a manager re-asserting an unchanged budget keeps the cache.
 func (c *Cluster) SetStaticCap(i int, watts float64) {
 	if c.staticCap[i] == watts {
 		return
@@ -475,14 +437,14 @@ func (c *Cluster) SetDynCap(i int, watts float64) {
 }
 
 // SetSensorReadings overwrites server i's sensor columns — the fault
-// injection surface (dropouts, noise). The server is marked dirty: the next
-// Advance must re-derive the sensors from the plant exactly as it would have
-// without the perturbation, rather than trusting the overwritten cache.
+// injection surface (dropouts, noise). The readings last until the next
+// Advance, which re-derives every powered server's sensors from the plant
+// exactly as it would have without the perturbation.
 func (c *Cluster) SetSensorReadings(i int, util, realUtil, power float64) {
 	c.util[i] = util
 	c.realUtil[i] = realUtil
 	c.power[i] = power
-	c.markDirty(i)
+	c.invalidateStats()
 }
 
 // SetModel swaps one server's hardware calibration (heterogeneous clusters)
@@ -498,7 +460,6 @@ func (c *Cluster) SetModel(server int, m *model.Model) error {
 	if c.pstate[server] >= m.NumPStates() {
 		c.pstate[server] = m.NumPStates() - 1
 	}
-	c.markDirty(server)
 	c.recomputeBudgets()
 	return nil
 }
@@ -552,11 +513,7 @@ func (c *Cluster) Move(vmID, toServer, tick int) error {
 	}
 	vm.Server = toServer
 	vm.MigratingUntil = tick + c.Cfg.MigrationTicks
-	if vm.MigratingUntil > c.migHigh {
-		c.migHigh = vm.MigratingUntil
-	}
-	c.markDirty(from)
-	c.markDirty(toServer)
+	c.invalidateStats()
 	return nil
 }
 
@@ -581,24 +538,25 @@ func (c *Cluster) forceOff(server int) {
 	c.on[server] = false
 	c.util[server], c.realUtil[server], c.demandSum[server] = 0, 0, 0
 	c.power[server] = c.model[server].OffWatts
-	c.markDirty(server)
+	c.invalidateStats()
 }
 
 // PowerOn brings a server up at full frequency with a fresh control state.
 func (c *Cluster) PowerOn(server int) {
 	c.on[server] = true
 	c.pstate[server] = 0
-	c.markDirty(server)
+	c.invalidateStats()
 }
 
 // ScaleDemand multiplies every VM's demand trace by factor, in place — the
-// load re-provisioning event. Traces feed the plant directly, so the whole
-// fleet is re-evaluated on the next Advance.
+// load re-provisioning event. The demand block cache holds the old values,
+// so it is dropped and refilled from the scaled traces on the next Advance.
 func (c *Cluster) ScaleDemand(factor float64) {
 	for i := range c.VMs {
 		c.VMs[i].Trace.Scale(factor)
 	}
-	c.markAllDirty()
+	c.dcBase = -1
+	c.invalidateStats()
 }
 
 // standaloneUnitSize is the fixed chunk width for standalone servers in the
@@ -776,14 +734,8 @@ func (c *Cluster) fillColumns(tick, lo, hi int) {
 
 // advanceUnit evaluates one unit's servers and accumulates its partial of the
 // fleet aggregate. Units are disjoint, so concurrent calls with distinct u
-// never race.
-//
-// The dirty-set fast path: a powered server that no mutator touched, whose
-// P-state is the one the sensor columns were computed under and whose fD
-// carries the previous tick's exact bits, keeps its sensors and skips the
-// model evaluation. Everything the aggregate needs is still accumulated per
-// server and per VM, in the same order and from the same values a full
-// evaluation would produce — the skip cannot change a single result bit.
+// never race. Every powered server is evaluated every tick: the linear
+// plant model costs less than the bookkeeping it would take to skip it.
 func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 	p := &c.partials[u]
 	*p = unitPartial{}
@@ -796,11 +748,6 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 	srvVMs, on, models := c.srvVMs, c.on, c.model
 	util, realUtil, demandSum := c.util, c.realUtil, c.demandSum
 	power, pstate, staticCap := c.power, c.pstate, c.staticCap
-	dirty, lastFD := c.dirty, c.lastFD
-	// When the tick is at or past the migration high-water mark no penalty
-	// window can be open anywhere in the fleet, and the delivered loop skips
-	// the per-VM MigratingUntil reads wholesale.
-	checkMig := tick < c.migHigh
 	for _, sid := range c.units[u] {
 		hosted := srvVMs[sid]
 		if !on[sid] {
@@ -820,34 +767,18 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 		for _, vmID := range hosted {
 			fD += row[vmID] * overhead
 		}
-		if dirty[sid] || fD != lastFD[sid] {
-			m := models[sid]
-			cap := m.Capacity(pstate[sid])
-			fC := fD
-			if fC > cap {
-				fC = cap
-			}
-			r := 0.0
-			if cap > 0 {
-				// fC/cap with the saturated and idle cases short-circuited:
-				// IEEE x/x is exactly 1 and 0/x exactly 0, so skipping the
-				// divide yields the same bits.
-				switch fC {
-				case cap:
-					r = 1
-				case 0:
-				default:
-					r = fC / cap
-				}
-			}
-			util[sid] = r
-			realUtil[sid] = fC
-			demandSum[sid] = fD
-			power[sid] = m.Power(pstate[sid], r)
-			lastFD[sid] = fD
-			dirty[sid] = false
+		m := models[sid]
+		cap := m.Capacity(pstate[sid])
+		fC := fD
+		if fC > cap {
+			fC = cap
 		}
-		pw := power[sid]
+		r := 0.0
+		if cap > 0 {
+			r = fC / cap
+		}
+		pw := m.Power(pstate[sid], r)
+		util[sid], realUtil[sid], demandSum[sid], power[sid] = r, fC, fD, pw
 		p.power += pw
 		p.on++
 		if cap := staticCap[sid]; pw > cap {
@@ -860,32 +791,20 @@ func (c *Cluster) advanceUnit(tick, u int, row []float64) {
 
 		// Useful work excludes the virtualization overhead: the served
 		// fraction applies proportionally to every VM's raw demand, and
-		// migrating VMs lose an extra AlphaM slice.
-		// ru == fD bitwise means the server was not capped, and IEEE x/x is
-		// exactly 1 — the divide only runs for genuinely throttled servers.
+		// migrating VMs lose an extra AlphaM slice. An uncapped server has
+		// fC == fD, and IEEE x/x is exactly 1.
 		served := 1.0
-		if ru := realUtil[sid]; fD > 0 && ru != fD {
-			served = ru / fD
+		if fD > 0 {
+			served = fC / fD
 		}
-		if checkMig {
-			for _, vmID := range hosted {
-				d := row[vmID]
-				got := d * served
-				if tick < vms[vmID].MigratingUntil {
-					got *= alphaM
-				}
-				p.demand += d
-				p.delivered += got
+		for _, vmID := range hosted {
+			d := row[vmID]
+			got := d * served
+			if tick < vms[vmID].MigratingUntil {
+				got *= alphaM
 			}
-		} else {
-			// No migration window can be open (tick >= migHigh), so the
-			// per-VM MigratingUntil reads are skipped; the comparison could
-			// not have fired, so the accumulated bits are unchanged.
-			for _, vmID := range hosted {
-				d := row[vmID]
-				p.demand += d
-				p.delivered += d * served
-			}
+			p.demand += d
+			p.delivered += got
 		}
 	}
 	if eid := c.unitEnc[u]; eid >= 0 {

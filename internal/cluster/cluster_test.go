@@ -131,11 +131,14 @@ func TestBudgetDerivation(t *testing.T) {
 
 func TestAdvanceComputesSensors(t *testing.T) {
 	cfg := smallCfg()
-	c := mustNew(t, cfg, smallSet(6, 0.3))
+	cfg.Standalone = 3
+	set := smallSet(6, 0.3)
+	set.Traces = append(set.Traces, flat("idle", 100, 0)) // server 6: zero demand
+	c := mustNew(t, cfg, set)
 	c.Advance(0)
 	m := cfg.Model
 	wantFD := 0.3 * 1.1
-	for i := 0; i < c.NumServers(); i++ {
+	for i := 0; i < 6; i++ {
 		if math.Abs(c.DemandSum(i)-wantFD) > 1e-12 {
 			t.Errorf("server %d demand = %v, want %v", i, c.DemandSum(i), wantFD)
 		}
@@ -149,7 +152,15 @@ func TestAdvanceComputesSensors(t *testing.T) {
 			t.Errorf("server %d real util = %v", i, c.RealUtil(i))
 		}
 	}
-	if math.Abs(c.GroupPower-6*m.Power(0, wantFD)) > 1e-9 {
+	// The idle server divides 0/cap: exactly +0, and the power model's
+	// idle draw to the bit.
+	if got := math.Float64bits(c.Util(6)); got != 0 {
+		t.Errorf("idle server util bits = %#x, want 0", got)
+	}
+	if c.Power(6) != m.Power(0, 0) {
+		t.Errorf("idle server power = %v, want %v", c.Power(6), m.Power(0, 0))
+	}
+	if math.Abs(c.GroupPower-6*m.Power(0, wantFD)-m.Power(0, 0)) > 1e-9 {
 		t.Errorf("group power = %v", c.GroupPower)
 	}
 	if math.Abs(c.Enclosures[0].Power-4*m.Power(0, wantFD)) > 1e-9 {
@@ -158,6 +169,11 @@ func TestAdvanceComputesSensors(t *testing.T) {
 	// All demand served: delivered == demanded == 6*0.3.
 	if math.Abs(c.DemandWork-1.8) > 1e-12 || math.Abs(c.DeliveredWork-1.8) > 1e-12 {
 		t.Errorf("work ledger = %v / %v", c.DeliveredWork, c.DemandWork)
+	}
+	// No server is capped, so every served fraction is fC/fD = x/x, exactly
+	// 1, and the delivered sum reproduces the demanded sum to the bit.
+	if math.Float64bits(c.DeliveredWork) != math.Float64bits(c.DemandWork) {
+		t.Errorf("uncapped fleet delivered %v of %v", c.DeliveredWork, c.DemandWork)
 	}
 }
 
@@ -395,6 +411,57 @@ func TestStatsNeverStale(t *testing.T) {
 	}
 }
 
+// TestAdvanceRederivesInjectedFaults pins that sensor faults do not outlive
+// the tick they were injected in: twin clusters advance in lockstep, one
+// has garbage written over a stride of servers' sensors and one server
+// hard-failed and rebooted, and the next Advance must leave both with the
+// same bits in every column and the same aggregate.
+func TestAdvanceRederivesInjectedFaults(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Enclosures, cfg.Standalone = 5, 10
+	// Flat demand, so nothing but the fault distinguishes tick 2 from tick 1:
+	// a plant that skipped servers with unchanged inputs would keep the
+	// garbage.
+	set := func() *trace.Set {
+		s := &trace.Set{Name: "levels"}
+		for i := 0; i < 30; i++ {
+			s.Traces = append(s.Traces, flat("w", 100, 0.05+0.9*float64(i%10)/9))
+		}
+		return s
+	}
+	clean, faulty := mustNew(t, cfg, set()), mustNew(t, cfg, set())
+	for _, c := range []*Cluster{clean, faulty} {
+		for i := 0; i < c.NumServers(); i += 3 {
+			c.SetPState(i, 4) // some servers capped, some not
+		}
+		c.Advance(0)
+		c.Advance(1)
+	}
+	for i := 1; i < faulty.NumServers(); i += 4 {
+		faulty.SetSensorReadings(i, 7, -3, 1e6)
+	}
+	faulty.ForceOff(2)
+	faulty.PowerOn(2)
+	clean.Advance(2)
+	faulty.Advance(2)
+	for i := 0; i < clean.NumServers(); i++ {
+		for _, col := range []struct {
+			name string
+			get  func(*Cluster, int) float64
+		}{
+			{"util", (*Cluster).Util}, {"real util", (*Cluster).RealUtil},
+			{"power", (*Cluster).Power}, {"demand sum", (*Cluster).DemandSum},
+		} {
+			if a, b := col.get(clean, i), col.get(faulty, i); math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("server %d %s = %v after the fault, want %v", i, col.name, b, a)
+			}
+		}
+	}
+	if a, b := clean.Stats(), faulty.Stats(); statsBits(a) != statsBits(b) {
+		t.Errorf("stats differ:\n clean  %+v\n faulty %+v", a, b)
+	}
+}
+
 // concurrentRun is a work-stealing dispatcher over three goroutines that
 // honours AdvanceWith's run contract, so both the unit advance and the
 // demand-cache fill really run concurrently.
@@ -459,8 +526,8 @@ func TestAdvanceWithMatchesAdvance(t *testing.T) {
 				c.ScaleDemand(0.8)
 			}
 			if k%10 == 0 {
-				// Move a stride of servers to a deeper P-state so the dirty
-				// set and the full evaluation both run.
+				// Move a stride of servers to a deeper P-state so capped and
+				// uncapped servers both occur.
 				for i := k % 7; i < vms; i += 7 {
 					c.SetPState(i, (k/10)%3)
 				}

@@ -149,7 +149,7 @@ func (c *Cluster) RestoreState(st State) error {
 	// and a name matching the rebuilt cluster's model are no-ops; anything
 	// else must resolve in the profile registry. Lookup caches nothing
 	// across calls but servers restored to the same profile share one
-	// instance here, preserving the plant's same-model pointer hoist.
+	// instance here, preserving the EC law's same-model pointer hoist.
 	var swapped map[string]*model.Model
 	for i, ss := range st.Servers {
 		if ss.Model == "" || ss.Model == c.model[i].Name {
@@ -185,14 +185,10 @@ func (c *Cluster) RestoreState(st State) error {
 		e := c.Enclosures[i]
 		e.StaticCap, e.DynCap, e.Power = es.StaticCap, es.DynCap, es.Power
 	}
-	c.migHigh = 0
 	for i, vs := range st.VMs {
 		vm := &c.VMs[i]
 		vm.Server = vs.Server
 		vm.MigratingUntil = vs.MigratingUntil
-		if vm.MigratingUntil > c.migHigh {
-			c.migHigh = vm.MigratingUntil
-		}
 		vm.Trace.Mutated = vs.Demand != nil
 		if vs.Demand != nil {
 			vm.Trace.Demand = append([]float64(nil), vs.Demand...)
@@ -204,10 +200,7 @@ func (c *Cluster) RestoreState(st State) error {
 	c.DemandWork = st.DemandWork
 	c.DeliveredWork = st.DeliveredWork
 	c.LastTick = st.LastTick
-	// A snapshot does not carry the dirty-set bookkeeping — conservatively
-	// re-evaluate the whole fleet on the next Advance. Re-evaluation of
-	// unchanged servers is bit-transparent, so a resumed run still matches
-	// the uninterrupted one exactly.
-	c.markAllDirty()
+	c.dcBase = -1 // traces may have been rewritten
+	c.invalidateStats()
 	return nil
 }

@@ -76,8 +76,8 @@ func (d Distribution) String() string {
 // determinism contract (rebuild-for-restore, shard comparison) relies on.
 //
 // All servers sharing a profile share one *Model instance — the cluster
-// treats models as immutable, and sharing preserves the per-unit same-model
-// pointer hoist in the plant hot path.
+// treats models as immutable, and sharing preserves the EC law's same-model
+// pointer hoist.
 func (d Distribution) Models(n int) ([]*Model, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("model: distribution: need n > 0, have %d", n)

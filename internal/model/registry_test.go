@@ -251,7 +251,7 @@ func TestDistributionModelsDeterministicAndExact(t *testing.T) {
 			t.Fatalf("profile %s occupies a run of %d: %v", last, run, names(a))
 		}
 	}
-	// Shared instances per profile: the plant's same-model hoist relies on
+	// Shared instances per profile: the EC law's same-model hoist relies on
 	// pointer equality within a profile.
 	seen := map[string]*Model{}
 	for _, m := range a {
