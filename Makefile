@@ -123,25 +123,28 @@ lint:
 # advance plus parallel demand-cache fill) against the serial Advance, and
 # the golden trace digests (parallel shaping and concurrent mix tiers at
 # GOMAXPROCS 1, 2 and 4 against digests recorded from the serial
-# generator). verify and the obs coverage floor ride along so one target
-# stays the pre-merge gate.
+# generator), plus the shared trace sets: concurrent builds of one key make
+# one synthesis, and a checkpoint restore never writes the demand a sibling
+# cluster is reading. verify and the obs coverage floor ride along so one
+# target stays the pre-merge gate.
 race: verify cover
-	$(GO) test -race -count=1 -run 'TestShardDeterminism|TestRunUnitsContract|TestAdvanceWithMatchesAdvance|TestGoldenMixDigests|TestGoldenGeneratorDigests' ./internal/sim ./internal/cluster ./internal/tracegen
+	$(GO) test -race -count=1 -run 'TestShardDeterminism|TestRunUnitsContract|TestAdvanceWithMatchesAdvance|TestGoldenMixDigests|TestGoldenGeneratorDigests|TestRestoreNeverWritesSharedTrace|TestTraceSetSingleflight' ./internal/sim ./internal/cluster ./internal/tracegen ./internal/experiments
 	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
 
 # bench-json records the perf flight recorder: the scale and sweep
-# benchmarks run with the span profiler attached (phase breakdown +
-# imbalance ride along as custom metrics) and the output lands as a
-# schema-versioned artifact under $(BENCH_DIR)/. Compare two stamps with
-# `go run ./cmd/npprof compare old.json new.json`.
+# benchmarks, plus fig7 and fig10 end to end (trace builds, baselines and
+# every stack run of one experiment), run with the span profiler attached
+# (phase breakdown + imbalance ride along as custom metrics) and the output
+# lands as a schema-versioned artifact under $(BENCH_DIR)/. Compare two
+# stamps with `go run ./cmd/npprof compare old.json new.json`.
 bench-json:
 	@mkdir -p $(BENCH_DIR)
 	@stamp=$$(date -u +%Y%m%dT%H%M%SZ); \
 	NPBENCH_PROFILE=1 $(GO) test -run '^$$' -benchmem \
-		-bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkParallelSweep|BenchmarkTracegenScale10k' . \
+		-bench 'BenchmarkScale10k|BenchmarkScale100k|BenchmarkParallelSweep|BenchmarkTracegenScale10k|BenchmarkFig7|BenchmarkFig10' . \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/npprof record -note "make bench-json" -o $(BENCH_DIR)/BENCH_$$stamp.json
 

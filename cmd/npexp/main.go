@@ -90,6 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *httpAddr != "" {
 		runner.RegisterMetrics(obs.Default)
+		experiments.RegisterMetrics(obs.Default)
 		srv, err := obs.Serve(*httpAddr, obs.Default)
 		if err != nil {
 			logger.Error("http endpoint failed", "err", err)

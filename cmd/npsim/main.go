@@ -159,6 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var o experiments.Observers
 	if *httpAddr != "" {
 		runner.RegisterMetrics(obs.Default)
+		experiments.RegisterMetrics(obs.Default)
 		srv, err := obs.Serve(*httpAddr, obs.Default)
 		if err != nil {
 			fmt.Fprintln(stderr, "http:", err)

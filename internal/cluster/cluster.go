@@ -26,6 +26,8 @@ type VM struct {
 	// ID indexes the VM inside its cluster.
 	ID int
 	// Trace supplies the demand series (fraction of a full-speed server).
+	// It may be shared with other clusters and is read-only: a mutator
+	// points the VM at a rewritten copy instead of writing into it.
 	Trace *trace.Trace
 	// Server is the index of the hosting server.
 	Server int
@@ -101,6 +103,10 @@ type Cluster struct {
 
 	Enclosures []*Enclosure
 	VMs        []VM
+	// workloads is the set New placed, VM i on workloads.Traces[i]. It is
+	// the pristine demand RestoreState returns a VM to, and it keeps a
+	// shared set reachable while this cluster is.
+	workloads *trace.Set
 	// StaticCapGrp is CAP_GRP, the group's fixed thermal budget.
 	StaticCapGrp float64
 	// FacilityCapGrp is the facility manager's IT-power budget (utility feed
@@ -292,7 +298,7 @@ func New(cfg Config, workloads *trace.Set) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: negative migration window")
 	}
 
-	c := &Cluster{Cfg: cfg, LastTick: -1}
+	c := &Cluster{Cfg: cfg, LastTick: -1, workloads: workloads}
 	c.on = make([]bool, n)
 	c.pstate = make([]int, n)
 	c.staticCap = make([]float64, n)
@@ -548,12 +554,14 @@ func (c *Cluster) PowerOn(server int) {
 	c.invalidateStats()
 }
 
-// ScaleDemand multiplies every VM's demand trace by factor, in place — the
-// load re-provisioning event. The demand block cache holds the old values,
-// so it is dropped and refilled from the scaled traces on the next Advance.
+// ScaleDemand multiplies every VM's demand trace by factor — the load
+// re-provisioning event. Each VM moves to a scaled copy, so a trace set
+// shared with other clusters is never written. The demand block cache holds
+// the old values, so it is dropped and refilled from the scaled traces on
+// the next Advance.
 func (c *Cluster) ScaleDemand(factor float64) {
 	for i := range c.VMs {
-		c.VMs[i].Trace.Scale(factor)
+		c.VMs[i].Trace = c.VMs[i].Trace.Scale(factor)
 	}
 	c.dcBase = -1
 	c.invalidateStats()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nopower/internal/model"
+	"nopower/internal/trace"
 )
 
 // This file is the plant's half of the checkpoint/restore subsystem
@@ -16,8 +17,7 @@ import (
 // swap a calibration mid-run, so the snapshot records each server's model
 // name and restore re-resolves differing names through the profile registry
 // (see ServerState.Model). Trace demand is captured only when a runtime
-// event (sim.ScaleDemand) has mutated it in place; pristine demand is
-// rebuilt.
+// event (sim.ScaleDemand) has rewritten it; pristine demand is rebuilt.
 
 // ServerState is the mutable per-server plant state.
 type ServerState struct {
@@ -54,7 +54,7 @@ type EnclosureState struct {
 }
 
 // VMState is the mutable per-VM state. Demand is captured only when a
-// runtime event rewrote the trace in place (trace.Trace.Mutated); nil means
+// runtime event rewrote the trace (trace.Trace.Mutated); nil means
 // the rebuilt cluster's pristine demand is already correct. Skipping
 // pristine demand keeps snapshots kilobytes instead of megabytes — the
 // traces dominate everything else combined.
@@ -189,9 +189,14 @@ func (c *Cluster) RestoreState(st State) error {
 		vm := &c.VMs[i]
 		vm.Server = vs.Server
 		vm.MigratingUntil = vs.MigratingUntil
-		vm.Trace.Mutated = vs.Demand != nil
+		// Traces may be shared with other clusters: point the VM at its
+		// captured demand or back at the pristine trace, never write into
+		// the one it holds.
 		if vs.Demand != nil {
-			vm.Trace.Demand = append([]float64(nil), vs.Demand...)
+			vm.Trace = &trace.Trace{Name: vm.Trace.Name, Class: vm.Trace.Class,
+				Demand: append([]float64(nil), vs.Demand...), Mutated: true}
+		} else {
+			vm.Trace = c.workloads.Traces[i]
 		}
 	}
 	c.StaticCapGrp = st.StaticCapGrp

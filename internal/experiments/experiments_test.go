@@ -90,7 +90,7 @@ func TestScenarioWithProvidedTraces(t *testing.T) {
 		t.Errorf("%d servers for 60 provided traces", cl.NumServers())
 	}
 	// The cluster must hold deep copies: mutating it leaves the input alone.
-	cl.VMs[0].Trace.Scale(2)
+	cl.VMs[0].Trace.Demand[0] += 1
 	if set.Traces[0].Demand[0] == cl.VMs[0].Trace.Demand[0] {
 		t.Error("provided trace set shared with the cluster")
 	}

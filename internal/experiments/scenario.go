@@ -75,7 +75,8 @@ type Scenario struct {
 	PStates []int
 	// Traces, when non-nil, supplies the workloads directly (e.g. loaded
 	// from a user CSV) instead of generating the named Mix. Each BuildCluster
-	// call deep-copies the set so runs stay independent.
+	// call deep-copies the set, so the caller's set and every cluster built
+	// from it stay independent; only generated mixes are shared.
 	Traces *trace.Set
 	// Shards bounds the per-tick goroutines of the engine (core.Spec.Shards).
 	// 0 falls back to the spec's value, then to the package default set by
@@ -142,8 +143,12 @@ func TopologyFor(workloads int) (enclosures, bladesPer, standalone int) {
 	return enclosures, bladesPer, standalone
 }
 
-// BuildCluster materializes a scenario's cluster (fresh traces and state on
-// every call, so repeated runs are independent and reproducible).
+// BuildCluster materializes a scenario's cluster with fresh plant and
+// controller state on every call. A generated Mix is shared: every cluster
+// of one (mix, ticks, seed) points at the same read-only trace set, built
+// once while any of them is alive (see setCache), and a cluster that
+// rewrites its demand copies the traces it touches first. Caller-supplied
+// Traces are deep-copied instead, so the caller may keep mutating them.
 func (sc Scenario) BuildCluster() (*cluster.Cluster, error) {
 	sc = sc.normalized()
 	var set *trace.Set
@@ -154,22 +159,11 @@ func (sc Scenario) BuildCluster() (*cluster.Cluster, error) {
 		}
 	} else {
 		var err error
-		set, err = tracegen.BuildMix(sc.Mix, sc.Ticks, sc.Seed)
+		set, err = traceSets.get(setKey{mix: sc.Mix, ticks: sc.Ticks, seed: sc.Seed})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return sc.clusterFromSet(set)
-}
-
-// clusterFromSet builds the scenario cluster around a pre-built trace set
-// (used when a caller wants to inspect or perturb the traces). This is the
-// single model-resolution choke point: every scenario path goes through
-// model.Lookup (or Distribution, which wraps it), so a typo'd profile name
-// fails fast with the list of known profiles instead of surfacing as a nil
-// dereference.
-func (sc Scenario) clusterFromSet(set *trace.Set) (*cluster.Cluster, error) {
-	sc = sc.normalized()
 	enc, blades, standalone, err := topology(set.Len())
 	if err != nil {
 		return nil, err
@@ -185,6 +179,10 @@ func (sc Scenario) clusterFromSet(set *trace.Set) (*cluster.Cluster, error) {
 		AlphaM:             sc.AlphaM,
 		MigrationTicks:     sc.MigrationTicks,
 	}
+	// The single model-resolution choke point: every scenario path goes
+	// through model.Lookup (or Distribution, which wraps it), so a typo'd
+	// profile name fails fast with the list of known profiles instead of
+	// surfacing as a nil dereference.
 	if sc.Profiles != "" {
 		if sc.PStates != nil {
 			return nil, fmt.Errorf("experiments: Profiles and PStates are mutually exclusive")

@@ -158,6 +158,7 @@ func (s *Server) registerMetrics() {
 	s.mResumed = r.Counter("np_serve_resumes_total")
 	s.mRecovered = r.Counter("np_serve_jobs_recovered_total")
 	s.mJobSeconds = r.Histogram("np_serve_job_seconds", 0.01, 0.1, 1, 10, 60, 300)
+	experiments.RegisterMetrics(r)
 	r.GaugeFunc("np_serve_jobs_queued", func() float64 { return float64(s.countStatus(StatusQueued)) })
 	r.GaugeFunc("np_serve_jobs_running", func() float64 { return float64(s.countStatus(StatusRunning)) })
 	r.GaugeFunc("np_serve_jobs_suspended", func() float64 { return float64(s.countStatus(StatusSuspended)) })

@@ -21,10 +21,10 @@ type Trace struct {
 	Class string
 	// Demand holds one sample per tick, as a fraction of full-speed capacity.
 	Demand []float64
-	// Mutated records that a runtime event rewrote Demand in place (Scale).
+	// Mutated records that a runtime event rewrote Demand (Scale).
 	// Checkpoints skip serializing pristine demand — a cluster rebuilt from
-	// the same scenario already has it — so every runtime in-place mutator
-	// must set this flag.
+	// the same scenario already has it — so every runtime mutator must set
+	// this flag.
 	Mutated bool
 }
 
@@ -75,13 +75,15 @@ func (t *Trace) Clip(max float64) *Trace {
 	return t
 }
 
-// Scale multiplies every sample by s, in place, and returns the trace.
+// Scale returns a copy with every sample multiplied by s, marked Mutated.
+// The receiver is left untouched, so a trace shared between clusters can
+// be scaled for one of them.
 func (t *Trace) Scale(s float64) *Trace {
-	for i := range t.Demand {
-		t.Demand[i] *= s
+	out := &Trace{Name: t.Name, Class: t.Class, Demand: make([]float64, len(t.Demand)), Mutated: true}
+	for i, v := range t.Demand {
+		out.Demand[i] = v * s
 	}
-	t.Mutated = true
-	return t
+	return out
 }
 
 // Stack sums several traces sample-by-sample into a new trace — the

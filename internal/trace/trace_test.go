@@ -62,11 +62,17 @@ func TestClipAndScale(t *testing.T) {
 			t.Errorf("Clip[%d] = %v, want %v", i, tr.Demand[i], w)
 		}
 	}
-	tr.Scale(2)
+	scaled := tr.Scale(2)
 	for i, w := range want {
-		if tr.Demand[i] != 2*w {
-			t.Errorf("Scale[%d] = %v, want %v", i, tr.Demand[i], 2*w)
+		if scaled.Demand[i] != 2*w {
+			t.Errorf("Scale[%d] = %v, want %v", i, scaled.Demand[i], 2*w)
 		}
+		if tr.Demand[i] != w {
+			t.Errorf("Scale wrote the receiver: [%d] = %v, want %v", i, tr.Demand[i], w)
+		}
+	}
+	if !scaled.Mutated || tr.Mutated {
+		t.Errorf("Mutated: scaled %v, receiver %v; want true, false", scaled.Mutated, tr.Mutated)
 	}
 }
 
